@@ -1,10 +1,9 @@
 (* H1 — what does the host pay?
 
-   Runs the allocation-churn workload with BOTH attribution planes
-   attached to the machine trace: Profile (virtual cycles) and Hostprof
-   (monotonic host nanoseconds + GC allocated words). Because both ride
-   the same Trace.prof_span combinator, the call trees share their paths
-   and every hot span gets host-ns/op, allocated-words/op, and a
+   Runs the allocation-churn workload through P1's driver with the span
+   profiler attached. Every span on its one stack carries monotonic host
+   nanoseconds and GC allocated words next to its virtual cycles, so
+   every hot span gets host-ns/op, allocated-words/op, and a
    host-ns-per-simulated-cycle ratio.
 
    Each driver op (malloc/free/touch) is wrapped in a top-level span, so
@@ -13,99 +12,31 @@
    words, GC collections, RSS) are sampled inside the op span so the
    sampling cost is attributed too, not hidden in the remainder.
 
-   Like P1, the planes attach AFTER machine and heap setup: boot cost is
-   out of scope. Word and cycle counts are deterministic for a fixed
+   Like P1, the profiler attaches AFTER machine and heap setup: boot cost
+   is out of scope. Word and cycle counts are deterministic for a fixed
    binary; only the ns values are host noise. *)
-
-module K = Os.Kernel
 
 let default_ops = 400
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
-(* Resident set from /proc/self/statm (second field, in pages). Assumes
-   4 KiB host pages; good enough for a gauge. 0 where /proc is absent. *)
-let read_rss_kb () =
-  match open_in "/proc/self/statm" with
-  | exception _ -> 0
-  | ic ->
-    let line = try input_line ic with _ -> "" in
-    close_in ic;
-    (match String.split_on_char ' ' line with
-    | _ :: resident :: _ -> (try int_of_string resident * 4 with _ -> 0)
-    | _ -> 0)
-
-let attach k =
-  let profile = Sim.Profile.create ~clock:(K.clock k) () in
-  Sim.Trace.attach_profile (K.trace k) profile;
-  let hp = Sim.Hostprof.create ~now_ns ~vclock:(K.clock k) ~rss_kb:read_rss_kb () in
-  Sim.Trace.attach_hostprof (K.trace k) hp;
-  hp
-
-(* Build machine + heap, attach both planes, replay the churn trace with
-   each driver op wrapped in its own top-level span. Returns the kernel
-   and the host profiler. *)
+(* Replay the churn trace with each driver op in its own root span,
+   sampling the self-gauges before the span closes. Returns the kernel
+   and the profile. *)
 let run_churn ?(ops = default_ops) backend =
-  let rng = Sim.Rng.create ~seed:42 in
-  let trace = Wl.Churn.generate ~rng ~ops ~max_bytes:(Sim.Units.kib 64) () in
-  let k = Bench_env.kernel ~dram:(Sim.Units.gib 1) ~nvm:(Sim.Units.gib 1) () in
-  let tr = K.trace k in
-  (match backend with
-  | `Malloc ->
-    let p = K.create_process k () in
-    let h = Heap.Malloc_sim.create k p in
-    let hp = attach k in
-    let op name f =
-      Sim.Trace.prof_span tr name @@ fun () ->
-      let r = f () in
-      Sim.Hostprof.sample_self hp;
-      r
-    in
-    ignore
-      (Wl.Churn.run trace
-         {
-           Wl.Churn.h_malloc = (fun ~bytes -> op "malloc" (fun () -> Heap.Malloc_sim.malloc h ~bytes));
-           h_free = (fun va -> op "free" (fun () -> Heap.Malloc_sim.free h va));
-           h_touch =
-             (fun ~va ~bytes ->
-               op "touch" (fun () ->
-                   ignore
-                     (K.access_range k p ~va ~len:(max 1 bytes) ~write:true
-                        ~stride:Sim.Units.page_size)));
-         })
-  | `Fom ->
-    let fom = O1mem.Fom.create k () in
-    let p = K.create_process k () in
-    let h = Heap.Fom_heap.create fom p () in
-    let hp = attach k in
-    let op name f =
-      Sim.Trace.prof_span tr name @@ fun () ->
-      let r = f () in
-      Sim.Hostprof.sample_self hp;
-      r
-    in
-    ignore
-      (Wl.Churn.run trace
-         {
-           Wl.Churn.h_malloc = (fun ~bytes -> op "malloc" (fun () -> Heap.Fom_heap.malloc h ~bytes));
-           h_free = (fun va -> op "free" (fun () -> Heap.Fom_heap.free h va));
-           h_touch =
-             (fun ~va ~bytes ->
-               op "touch" (fun () ->
-                   ignore
-                     (O1mem.Fom.access_range fom p ~va ~len:(max 1 bytes) ~write:true
-                        ~stride:Sim.Units.page_size)));
-         }));
-  (k, Sim.Trace.hostprof tr)
+  Exp_profile.drive ~ops backend ~instrument:(fun _ profile ->
+      {
+        Exp_profile.op =
+          (fun name f ->
+            Sim.Profile.span profile name (fun () ->
+                let r = f () in
+                Sim.Profile.sample_self profile;
+                r));
+      })
 
-(* The "host" section of the bench JSON: one Hostprof export per churn
+(* The "host" section of the bench JSON: one host export per churn
    backend. Word/call/vcycle counts are deterministic per binary —
    bench-diff gates on those under --gate-host-alloc; ns is report-only. *)
 let to_json ?(ops = default_ops) () =
-  let backend_json backend =
-    let _, hp = run_churn ~ops backend in
-    Sim.Hostprof.to_json hp
-  in
+  let backend_json backend = Sim.Profile.host_to_json (snd (run_churn ~ops backend)) in
   Sim.Json.Obj
     [
       ("ops", Sim.Json.Int ops);
@@ -118,7 +49,7 @@ let run ?(ops = default_ops) () =
     "Host-side cost attribution: wall-clock ns and GC allocated words per span.";
   List.iter
     (fun (name, backend) ->
-      let _, hp = run_churn ~ops backend in
+      let _, profile = run_churn ~ops backend in
       Printf.printf "--- churn_%s (%d ops) ---\n" name ops;
-      Format.printf "%a@." Sim.Hostprof.pp hp)
+      Format.printf "%a@." Sim.Profile.pp_host profile)
     [ ("malloc", `Malloc); ("fom", `Fom) ]

@@ -119,7 +119,7 @@ let run_bechamel () =
    defaulting to BENCH_<date>.json. The default file name depends on the
    host (today's date), and the appended "throughput" (wall-clock ops/sec
    medians over k trials; --smoke shrinks its workloads) and "host"
-   (Hostprof attribution: ns noisy, allocated words deterministic)
+   (host-side profile attribution: ns noisy, allocated words deterministic)
    sections mix in host measurements; everything else is purely
    virtual-clock-derived and byte-identical across machines — which is
    why bench-diff gates on those sections, reports on throughput/host ns,

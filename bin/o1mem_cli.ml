@@ -245,13 +245,13 @@ let top backend ops k_spans =
   print_newline ();
   Printf.printf "%-40s %10s %12s %12s\n" "SPAN" "CALLS" "SELF" "CUM";
   List.iter
-    (fun (path, calls, self, cum) ->
-      Printf.printf "%-40s %10d %12d %12d\n" path calls self cum)
+    (fun (path, (n : Sim.Profile.node)) ->
+      Printf.printf "%-40s %10d %12d %12d\n" path n.calls n.self n.cum)
     (Sim.Profile.top_spans ~k:k_spans p);
   Printf.printf "\n%d/%d cycles attributed (%.1f%%), %d unattributed\n"
-    (Sim.Profile.attributed_cycles p) (Sim.Profile.total_cycles p)
+    (Sim.Profile.attributed p) (Sim.Profile.total p)
     (100.0 *. Sim.Profile.attributed_fraction p)
-    (Sim.Profile.unattributed_cycles p)
+    (Sim.Profile.unattributed p)
 
 let top_cmd =
   let doc =
@@ -497,52 +497,50 @@ let store_cmd =
 (* ---------------------------- hotspots ----------------------------- *)
 
 (* What the HOST pays to simulate: replay the churn workload with the
-   host-cost plane attached and rank call-tree paths by self host-ns and
-   by self allocated words. The ns numbers are real wall-clock (noisy);
-   the words and call counts are deterministic per binary. *)
+   profiler attached and rank call-tree paths by self host-ns and by self
+   allocated words. The ns numbers are real wall-clock (noisy); the words
+   and call counts are deterministic per binary. *)
 let hotspots_by_of = function
   | "ns" -> `Ns
   | "words" -> `Words
   | other -> failwith ("unknown ranking: " ^ other ^ " (ns|words)")
 
 let hotspots backend ops top_n format by =
-  let _, hp = Experiments.Exp_hostprof.run_churn ~ops (profile_backend_of backend) in
-  let ranked = Sim.Hostprof.top_paths ~k:top_n ~by:(hotspots_by_of by) hp in
-  (match format with
+  let by = hotspots_by_of by in
+  let _, p = Experiments.Exp_hostprof.run_churn ~ops (profile_backend_of backend) in
+  let ranked by = Sim.Profile.top_spans ~k:top_n ~by p in
+  match format with
   | "tree" ->
     let table title by =
       Printf.printf "%s\n%-44s %8s %12s %12s %12s %10s\n" title "PATH" "CALLS" "SELF_NS"
         "SELF_WORDS" "CUM_NS" "NS/VCYCLE";
       List.iter
-        (fun (path, n) ->
-          Printf.printf "%-44s %8d %12d %12d %12d %10.1f\n" path n.Sim.Hostprof.calls
-            n.Sim.Hostprof.self_ns n.Sim.Hostprof.self_words n.Sim.Hostprof.ns
-            (Sim.Hostprof.ns_per_vcycle ~ns:n.Sim.Hostprof.ns ~vcycles:n.Sim.Hostprof.vcycles))
-        (Sim.Hostprof.top_paths ~k:top_n ~by hp);
+        (fun (path, (n : Sim.Profile.node)) ->
+          Printf.printf "%-44s %8d %12d %12d %12d %10.1f\n" path n.calls n.self_ns n.self_words
+            n.ns (Sim.Profile.ns_per_vcycle n))
+        (ranked by);
       print_newline ()
     in
     table (Printf.sprintf "Top %d paths by self host-ns:" top_n) `Ns;
     table (Printf.sprintf "Top %d paths by self allocated words:" top_n) `Words;
     Printf.printf "%d ns total, %.1f%% attributed; %d words allocated, %.1f%% attributed\n"
-      (Sim.Hostprof.total_ns hp)
-      (100.0 *. Sim.Hostprof.attributed_ns_fraction hp)
-      (Sim.Hostprof.total_words hp)
-      (100.0 *. Sim.Hostprof.attributed_words_fraction hp)
+      (Sim.Profile.total ~by:`Ns p)
+      (100.0 *. Sim.Profile.attributed_fraction ~by:`Ns p)
+      (Sim.Profile.total ~by:`Words p)
+      (100.0 *. Sim.Profile.attributed_fraction ~by:`Words p)
   | "csv" ->
     Printf.printf "path,calls,self_ns,ns,self_words,words,vcycles,ns_per_vcycle\n";
     List.iter
-      (fun (path, n) ->
-        Printf.printf "%s,%d,%d,%d,%d,%d,%d,%.3f\n" path n.Sim.Hostprof.calls
-          n.Sim.Hostprof.self_ns n.Sim.Hostprof.ns n.Sim.Hostprof.self_words
-          n.Sim.Hostprof.words n.Sim.Hostprof.vcycles
-          (Sim.Hostprof.ns_per_vcycle ~ns:n.Sim.Hostprof.ns ~vcycles:n.Sim.Hostprof.vcycles))
-      ranked
-  | "collapsed" -> print_string (Sim.Hostprof.to_collapsed ~by:(hotspots_by_of by) hp)
-  | other -> failwith ("unknown format: " ^ other ^ " (tree|csv|collapsed)"))
+      (fun (path, (n : Sim.Profile.node)) ->
+        Printf.printf "%s,%d,%d,%d,%d,%d,%d,%.3f\n" path n.calls n.self_ns n.ns n.self_words
+          n.words n.cum (Sim.Profile.ns_per_vcycle n))
+      (ranked by)
+  | "collapsed" -> print_string (Sim.Profile.to_collapsed ~by p)
+  | other -> failwith ("unknown format: " ^ other ^ " (tree|csv|collapsed)")
 
 let hotspots_cmd =
   let doc =
-    "Replay the churn workload with the host-cost attribution plane attached and print the \
+    "Replay the churn workload with the span profiler attached and print the \
      hottest call-tree paths by self host-nanoseconds and by self allocated words (what the host \
      pays per simulated op), as ranked tables, CSV, or collapsed stacks for flamegraph.pl"
   in

@@ -9,8 +9,9 @@
     IPI latency histogram, and a NUMA node-pair traffic matrix.
 
     Components reach the plane through their trace handle
-    ([Sim.Trace.causal trace]), the same attachment pattern as
-    {!Profile} and {!Fault_inject}: the {!disabled} sentinel makes every
+    ([Sim.Trace.causal trace]), the same attachment pattern as the span
+    profiler {!Profile} and {!Fault_inject}; unlike {!Profile} it holds
+    a graph, not a span stack. The {!disabled} sentinel makes every
     emission a cheap no-op, and nothing here ever charges the clock. *)
 
 type node = {

@@ -17,8 +17,7 @@ type t = {
   ring : event option array;
   mutable recorded : int; (* total events ever recorded, ring or not *)
   latencies : (string, Histogram.t) Hashtbl.t;
-  mutable profile : Profile.t; (* cycle-attribution profiler, if attached *)
-  mutable hostprof : Hostprof.t; (* host-cost attribution plane, if attached *)
+  mutable profile : Profile.t; (* span-tree profiler, if attached *)
   mutable faults : Fault_inject.t; (* fault-injection plane, if attached *)
   mutable causal : Causal.t; (* cross-core causal plane, if attached *)
   mutable cur_core : int; (* core executing right now, for event stamping *)
@@ -34,7 +33,6 @@ let create ~clock ?(capacity = default_capacity) () =
     recorded = 0;
     latencies = Hashtbl.create 32;
     profile = Profile.disabled;
-    hostprof = Hostprof.disabled;
     faults = Fault_inject.disabled;
     causal = Causal.disabled;
     cur_core = 0;
@@ -47,7 +45,6 @@ let disabled =
     recorded = 0;
     latencies = Hashtbl.create 1;
     profile = Profile.disabled;
-    hostprof = Hostprof.disabled;
     faults = Fault_inject.disabled;
     causal = Causal.disabled;
     cur_core = 0;
@@ -61,18 +58,9 @@ let attach_profile t p =
   if not (enabled t) then invalid_arg "Trace.attach_profile: disabled trace";
   t.profile <- p
 
-let hostprof t = t.hostprof
-
-let attach_hostprof t h =
-  if not (enabled t) then invalid_arg "Trace.attach_hostprof: disabled trace";
-  t.hostprof <- h
-
-(* The one span combinator every instrumented hot path uses: the same
-   name feeds both attribution planes, so virtual-cycle and host-cost
-   call trees share their paths. Hostprof wraps Profile so the (host)
-   cost of virtual attribution itself is measured, not hidden. Both
-   sentinels reduce this to running [f]. *)
-let prof_span t name f = Hostprof.span t.hostprof name (fun () -> Profile.span t.profile name f)
+(* The one span combinator every instrumented hot path uses. With no
+   profile attached it is a direct call of [f]: nothing is allocated. *)
+let prof_span t name f = Profile.span t.profile name f
 
 let faults t = t.faults
 let causal t = t.causal

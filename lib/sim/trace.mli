@@ -31,33 +31,19 @@ val disabled : t
 (** Shared no-op sentinel: never records, safe to use from any component. *)
 
 val profile : t -> Profile.t
-(** The cycle-attribution profiler attached to this trace —
-    {!Profile.disabled} until {!attach_profile}. Components wrap their
-    hot paths in [Profile.span (Trace.profile trace) name f]; with no
-    profiler attached that is a no-op. *)
+(** The span-tree profiler attached to this trace — {!Profile.disabled}
+    until {!attach_profile}. *)
 
 val attach_profile : t -> Profile.t -> unit
 (** Attach a profiler so every component sharing this trace starts
     attributing spans. Raises [Invalid_argument] on {!disabled} (the
     sentinel is shared machine-wide). *)
 
-val hostprof : t -> Hostprof.t
-(** The host-side cost-attribution plane attached to this trace —
-    {!Hostprof.disabled} until {!attach_hostprof}. *)
-
-val attach_hostprof : t -> Hostprof.t -> unit
-(** Attach a host profiler so every {!prof_span} additionally records
-    host-nanosecond and GC allocated-words deltas into the same
-    call-tree paths. Never touches the virtual clock. Raises
-    [Invalid_argument] on {!disabled}. *)
-
 val prof_span : t -> string -> (unit -> 'a) -> 'a
-(** [prof_span t name f] runs [f] under both attribution planes: a
-    {!Profile.span} charging nothing virtual, nested inside a
-    {!Hostprof.span} measuring host ns and allocated words. Every
-    instrumented hot path uses this single combinator so the two call
-    trees share their paths. With neither plane attached it just runs
-    [f]. *)
+(** [prof_span t name f] is [Profile.span (profile t) name f]: the one
+    combinator every instrumented hot path uses, so each span carries
+    virtual cycles, host ns and allocated words on a single stack. With
+    no profiler attached it just runs [f] and allocates nothing. *)
 
 val faults : t -> Fault_inject.t
 (** The fault-injection plane attached to this trace —

@@ -47,3 +47,13 @@ let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
   let rec loop i = i + n <= h && (String.sub haystack i n = needle || loop (i + 1)) in
   n = 0 || loop 0
+
+(* A deterministic fake host clock: each read advances by [step] ns. *)
+let fake_ns ?(step = 10) () =
+  let t = ref 0 in
+  fun () ->
+    t := !t + step;
+    !t
+
+let mk_profile ?step ?rss_kb ?events_capacity clock =
+  Sim.Profile.create ~clock ~now_ns:(fake_ns ?step ()) ?rss_kb ?events_capacity ()
