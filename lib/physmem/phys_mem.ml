@@ -1,9 +1,14 @@
 type region = Dram | Nvm
 
-(* Contents are sparse: a 4 KiB host buffer is materialized for a frame
-   on its first nonzero write and dropped when it becomes all-zero
-   again, so terabyte machines cost nothing until touched. *)
-type frame_store = { data : Bytes.t; mutable nonzero : int }
+(* Contents are sparse. A frame gets a host buffer on its first nonzero
+   write: the one 64-byte line written, at frame offset [base], when the
+   write fits in one line, else the whole 4 KiB page ([base] = 0). The
+   first nonzero write outside a line buffer promotes it, once, to a
+   page. A buffer left with no nonzero byte is dropped, so terabyte
+   machines cost nothing until touched. *)
+type frame_store = { mutable data : Bytes.t; mutable base : int; mutable nonzero : int }
+
+let line = 64
 
 type t = {
   clock : Sim.Clock.t;
@@ -131,36 +136,62 @@ let lines_covered ~addr ~len =
 
 let frame_table t pfn = Hashtbl.find_opt t.contents pfn
 
-let frame_table_create t pfn =
-  match Hashtbl.find_opt t.contents pfn with
-  | Some fr -> fr
+(* Whether [fr]'s buffer holds frame offsets [off, off + len). *)
+let covers fr off len = off >= fr.base && off + len <= fr.base + Bytes.length fr.data
+
+let count_nonzero s pos len =
+  let n = ref 0 in
+  for i = pos to pos + len - 1 do
+    if String.unsafe_get s i <> '\000' then incr n
+  done;
+  !n
+
+(* Zero frame offsets [off, off + len) of [pfn]; a buffer left with no
+   nonzero byte is dropped. *)
+let clear t pfn off len =
+  match frame_table t pfn with
+  | None -> ()
+  | Some fr ->
+    let lo = max off fr.base and hi = min (off + len) (fr.base + Bytes.length fr.data) in
+    if lo < hi then begin
+      fr.nonzero <- fr.nonzero - count_nonzero (Bytes.unsafe_to_string fr.data) (lo - fr.base) (hi - lo);
+      if fr.nonzero = 0 then Hashtbl.remove t.contents pfn
+      else Bytes.fill fr.data (lo - fr.base) (hi - lo) '\000'
+    end
+
+(* [pfn]'s buffer, created (one line if the run fits in one, else a page)
+   or promoted to a page so that it holds frame offsets [off, off + len). *)
+let cover t pfn off len =
+  match frame_table t pfn with
+  | Some fr when covers fr off len -> fr
+  | Some fr ->
+    let page = Bytes.make Sim.Units.page_size '\000' in
+    Bytes.blit fr.data 0 page fr.base line;
+    fr.data <- page;
+    fr.base <- 0;
+    fr
   | None ->
-    let fr = { data = Bytes.make Sim.Units.page_size '\000'; nonzero = 0 } in
+    let base = off land lnot (line - 1) in
+    let fr =
+      if off + len <= base + line then { data = Bytes.make line '\000'; base; nonzero = 0 }
+      else { data = Bytes.make Sim.Units.page_size '\000'; base = 0; nonzero = 0 }
+    in
     Hashtbl.add t.contents pfn fr;
     fr
 
 let peek_byte t addr =
+  let off = Frame.offset_in_frame addr in
   match frame_table t (Frame.of_addr addr) with
-  | None -> '\000'
-  | Some fr -> Bytes.get fr.data (Frame.offset_in_frame addr)
+  | Some fr when covers fr off 1 -> Bytes.get fr.data (off - fr.base)
+  | _ -> '\000'
 
 let poke_byte t addr c =
-  let pfn = Frame.of_addr addr in
-  if c = '\000' then (
-    match frame_table t pfn with
-    | None -> ()
-    | Some fr ->
-      let off = Frame.offset_in_frame addr in
-      if Bytes.get fr.data off <> '\000' then begin
-        Bytes.set fr.data off '\000';
-        fr.nonzero <- fr.nonzero - 1;
-        if fr.nonzero = 0 then Hashtbl.remove t.contents pfn
-      end)
+  let pfn = Frame.of_addr addr and off = Frame.offset_in_frame addr in
+  if c = '\000' then clear t pfn off 1
   else begin
-    let fr = frame_table_create t pfn in
-    let off = Frame.offset_in_frame addr in
-    if Bytes.get fr.data off = '\000' then fr.nonzero <- fr.nonzero + 1;
-    Bytes.set fr.data off c
+    let fr = cover t pfn off 1 in
+    if Bytes.get fr.data (off - fr.base) = '\000' then fr.nonzero <- fr.nonzero + 1;
+    Bytes.set fr.data (off - fr.base) c
   end
 
 let check_addr t addr len =
@@ -198,19 +229,31 @@ let charge_bulk t ~addr ~len ~write =
     Sim.Stats.add t.stats (if write then "stream_write_lines" else "stream_read_lines") (lines - 1)
   end
 
-(* Blit frame-sized chunks instead of byte-at-a-time host work. *)
-let read_raw t ~addr ~len buf =
+(* Host work goes frame by frame: [f t x pfn off pos run] for each piece
+   of [addr, addr + len) that stays in one frame, [pos] bytes past
+   [addr]. Passing a top-level [f] and its operand [x] keeps the hot
+   paths free of closure allocation. *)
+let iter_runs f t x ~addr ~len =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let pfn = Frame.of_addr a in
     let off = Frame.offset_in_frame a in
     let run = min (len - !pos) (Sim.Units.page_size - off) in
-    (match frame_table t pfn with
-    | Some fr -> Bytes.blit fr.data off buf !pos run
-    | None -> Bytes.fill buf !pos run '\000');
+    f t x (Frame.of_addr a) off !pos run;
     pos := !pos + run
   done
+
+let read_run t buf pfn off pos run =
+  match frame_table t pfn with
+  | Some fr when covers fr off run -> Bytes.blit fr.data (off - fr.base) buf pos run
+  | None -> Bytes.fill buf pos run '\000'
+  | Some fr ->
+    (* A line buffer holding part of the run, or none of it. *)
+    Bytes.fill buf pos run '\000';
+    let lo = max off fr.base and hi = min (off + run) (fr.base + Bytes.length fr.data) in
+    if lo < hi then Bytes.blit fr.data (lo - fr.base) buf (pos + lo - off) (hi - lo)
+
+let read_raw t ~addr ~len buf = iter_runs read_run t buf ~addr ~len
 
 let read t ~addr ~len =
   check_addr t addr len;
@@ -225,27 +268,22 @@ let peek t ~addr ~len =
   read_raw t ~addr ~len buf;
   buf
 
+(* A run with no nonzero byte only clears, so it never creates a buffer. *)
+let store_run t s pfn off pos run =
+  let nz = count_nonzero s pos run in
+  if nz = 0 then clear t pfn off run
+  else begin
+    let fr = cover t pfn off run in
+    let o = off - fr.base in
+    fr.nonzero <- fr.nonzero + nz - count_nonzero (Bytes.unsafe_to_string fr.data) o run;
+    Bytes.blit_string s pos fr.data o run
+  end
+
 let write t ~addr s =
   let len = String.length s in
   check_addr t addr len;
   charge_bulk t ~addr ~len ~write:true;
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let pfn = Frame.of_addr a in
-    let off = Frame.offset_in_frame a in
-    let run = min (len - !pos) (Sim.Units.page_size - off) in
-    (* Fast path: count nonzero delta over the run once. *)
-    let fr = frame_table_create t pfn in
-    for i = 0 to run - 1 do
-      let old = Bytes.get fr.data (off + i) and c = s.[!pos + i] in
-      if old = '\000' && c <> '\000' then fr.nonzero <- fr.nonzero + 1
-      else if old <> '\000' && c = '\000' then fr.nonzero <- fr.nonzero - 1
-    done;
-    Bytes.blit_string s !pos fr.data off run;
-    if fr.nonzero = 0 then Hashtbl.remove t.contents pfn;
-    pos := !pos + run
-  done
+  iter_runs store_run t s ~addr ~len
 
 let touch t addr =
   check_addr t addr 1;
@@ -258,26 +296,12 @@ let zero_frame t pfn =
   Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:Sim.Units.page_size);
   Sim.Stats.add t.stats "bytes_zeroed" Sim.Units.page_size
 
-let zero_range t ~addr ~len =
+let discard_range t ~addr ~len =
   check_addr t addr len;
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let pfn = Frame.of_addr a in
-    let off = Frame.offset_in_frame a in
-    let run = min (len - !pos) (Sim.Units.page_size - off) in
-    (match frame_table t pfn with
-    | Some fr ->
-      let lost = ref 0 in
-      for i = 0 to run - 1 do
-        if Bytes.get fr.data (off + i) <> '\000' then incr lost
-      done;
-      Bytes.fill fr.data off run '\000';
-      fr.nonzero <- fr.nonzero - !lost;
-      if fr.nonzero = 0 then Hashtbl.remove t.contents pfn
-    | None -> ());
-    pos := !pos + run
-  done;
+  iter_runs (fun t () pfn off _ run -> clear t pfn off run) t () ~addr ~len
+
+let zero_range t ~addr ~len =
+  discard_range t ~addr ~len;
   let model = Sim.Clock.model t.clock in
   Sim.Clock.charge t.clock (Sim.Cost_model.zero_cost model ~bytes:len);
   Sim.Stats.add t.stats "bytes_zeroed" len
@@ -286,37 +310,14 @@ let discard_frame t pfn =
   if not (valid_frame t pfn) then invalid_arg "Phys_mem.discard_frame: bad frame";
   Hashtbl.remove t.contents pfn
 
-let discard_range t ~addr ~len =
-  check_addr t addr len;
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let pfn = Frame.of_addr a in
-    let off = Frame.offset_in_frame a in
-    let run = min (len - !pos) (Sim.Units.page_size - off) in
-    (match frame_table t pfn with
-    | Some fr ->
-      let lost = ref 0 in
-      for i = 0 to run - 1 do
-        if Bytes.get fr.data (off + i) <> '\000' then incr lost
-      done;
-      Bytes.fill fr.data off run '\000';
-      fr.nonzero <- fr.nonzero - !lost;
-      if fr.nonzero = 0 then Hashtbl.remove t.contents pfn
-    | None -> ());
-    pos := !pos + run
-  done
-
 let restore_range t ~addr s =
   check_addr t addr (String.length s);
-  String.iteri (fun i c -> poke_byte t (addr + i) c) s
+  iter_runs store_run t s ~addr ~len:(String.length s)
 
 let frame_is_zero t pfn =
   match frame_table t pfn with None -> true | Some fr -> fr.nonzero = 0
 
 let crash t =
-  let doomed = ref [] in
-  Hashtbl.iter (fun pfn _ -> if pfn < t.dram_frames then doomed := pfn :: !doomed) t.contents;
-  List.iter (Hashtbl.remove t.contents) !doomed
+  Hashtbl.filter_map_inplace (fun pfn fr -> if pfn < t.dram_frames then None else Some fr) t.contents
 
 let resident_bytes t = Hashtbl.fold (fun _ fr acc -> acc + fr.nonzero) t.contents 0

@@ -3,7 +3,12 @@
     The space is split into a DRAM region (frames [0 .. dram_frames-1]) and
     an NVM region above it, mirroring a machine with both DIMM types. Byte
     contents are stored sparsely: an address never written reads as zero,
-    so terabyte spaces cost nothing until touched.
+    so terabyte spaces cost nothing until touched. A frame's first nonzero
+    write gives it a host buffer of one 64-byte line when the write fits
+    in one line, else of the whole page; the first nonzero write outside
+    that line promotes the buffer to a page, and a frame whose bytes are
+    all zero again drops it. This is host bookkeeping only: no charge
+    depends on it.
 
     Every access charges the shared {!Sim.Clock} one cache-line-granular
     memory reference priced by the region (DRAM vs NVM read/write), and

@@ -101,6 +101,24 @@ let test_discard_no_cost () =
   check_int "free of charge" 0 (Sim.Clock.elapsed clock ~since:before);
   check_bool "cleared" true (PM.frame_is_zero mem 1)
 
+(* A frame written only inside one cache line holds a line buffer, not a
+   4 KiB page: one byte in each of many fresh frames stays far below the
+   ~520 words a page buffer costs. *)
+let test_one_byte_frames_stay_small () =
+  let frames = 1000 in
+  let mem = mk_mem ~dram:(Sim.Units.mib 8) ~nvm:0 () in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  for pfn = 0 to frames - 1 do
+    PM.write_byte mem (Frame.to_addr pfn + 100) 'x'
+  done;
+  let per_frame = (words () -. before) /. float_of_int frames in
+  check_int "one byte per frame" frames (PM.resident_bytes mem);
+  check_bool (Printf.sprintf "%.1f words per frame < 64" per_frame) true (per_frame < 64.)
+
 (* Zero engine *)
 
 let test_zero_engine_pool () =
@@ -276,6 +294,182 @@ let prop_zero_then_read_zero =
       PM.zero_range mem ~addr ~len;
       Bytes.to_string (PM.read mem ~addr ~len) = String.make len '\000')
 
+(* Differential check: generated op sequences on a 16-frame machine
+   (8 DRAM + 8 NVM) against a flat [Bytes] reference. Addresses cluster
+   on a few lines at the frame edges, so single-byte writes land in
+   line buffers and later writes to other lines of the same frame
+   promote them to pages. *)
+
+let diff_frames = 16
+let diff_space = diff_frames * Sim.Units.page_size
+
+type op =
+  | Write_byte of int * char
+  | Write of int * string
+  | Restore of int * string
+  | Zero_range of int * int
+  | Discard_range of int * int
+  | Zero_frame of int
+  | Discard_frame of int
+  | Crash
+
+let show_op = function
+  | Write_byte (a, c) -> Printf.sprintf "write_byte %d %C" a c
+  | Write (a, s) -> Printf.sprintf "write %d (%d bytes)" a (String.length s)
+  | Restore (a, s) -> Printf.sprintf "restore %d (%d bytes)" a (String.length s)
+  | Zero_range (a, n) -> Printf.sprintf "zero_range %d %d" a n
+  | Discard_range (a, n) -> Printf.sprintf "discard_range %d %d" a n
+  | Zero_frame f -> Printf.sprintf "zero_frame %d" f
+  | Discard_frame f -> Printf.sprintf "discard_frame %d" f
+  | Crash -> "crash"
+
+let op_gen =
+  let open QCheck2.Gen in
+  let addr =
+    map3
+      (fun pfn line off -> (pfn * Sim.Units.page_size) + (line * 64) + off)
+      (int_bound (diff_frames - 1))
+      (oneof [ oneofl [ 0; 1; 62; 63 ]; int_bound 63 ])
+      (oneof [ oneofl [ 0; 63 ]; int_bound 63 ])
+  in
+  let byte = frequency [ (1, pure '\000'); (3, char_range 'a' 'z') ] in
+  let len = frequency [ (4, int_range 1 130); (1, int_range 1 (Sim.Units.page_size + 200)) ] in
+  let run = map (fun (a, n) -> (a, min n (diff_space - a))) (pair addr len) in
+  (* Mixed bytes (about one in four zero), all zeros, or one nonzero
+     byte then zeros. *)
+  let text =
+    map2
+      (fun (a, n) k ->
+        let c i =
+          match k with
+          | 0 -> '\000'
+          | 1 -> if i = 0 then 'q' else '\000'
+          | _ -> if ((i * 7) + k) mod 4 = 0 then '\000' else Char.chr (97 + ((i + k) mod 26))
+        in
+        (a, String.init n c))
+      run (int_bound 5)
+  in
+  frequency
+    [
+      (6, map2 (fun a c -> Write_byte (a, c)) addr byte);
+      (3, map (fun (a, s) -> Write (a, s)) text);
+      (2, map (fun (a, s) -> Restore (a, s)) text);
+      (2, map (fun (a, n) -> Zero_range (a, n)) run);
+      (2, map (fun (a, n) -> Discard_range (a, n)) run);
+      (1, map (fun f -> Zero_frame f) (int_bound (diff_frames - 1)));
+      (1, map (fun f -> Discard_frame f) (int_bound (diff_frames - 1)));
+      (1, pure Crash);
+    ]
+
+let ops_gen = QCheck2.Gen.(list_size (int_range 1 40) op_gen)
+
+let apply mem ref_ op =
+  let page = Sim.Units.page_size in
+  match op with
+  | Write_byte (a, c) ->
+    PM.write_byte mem a c;
+    Bytes.set ref_ a c
+  | Write (a, s) ->
+    PM.write mem ~addr:a s;
+    Bytes.blit_string s 0 ref_ a (String.length s)
+  | Restore (a, s) ->
+    PM.restore_range mem ~addr:a s;
+    Bytes.blit_string s 0 ref_ a (String.length s)
+  | Zero_range (a, n) ->
+    PM.zero_range mem ~addr:a ~len:n;
+    Bytes.fill ref_ a n '\000'
+  | Discard_range (a, n) ->
+    PM.discard_range mem ~addr:a ~len:n;
+    Bytes.fill ref_ a n '\000'
+  | Zero_frame f ->
+    PM.zero_frame mem f;
+    Bytes.fill ref_ (f * page) page '\000'
+  | Discard_frame f ->
+    PM.discard_frame mem f;
+    Bytes.fill ref_ (f * page) page '\000'
+  | Crash ->
+    PM.crash mem;
+    Bytes.fill ref_ 0 (PM.dram_frames mem * page) '\000'
+
+(* Nonzero bytes of frame [f] in the reference. *)
+let frame_nonzero ref_ f =
+  let n = ref 0 in
+  for a = f * Sim.Units.page_size to ((f + 1) * Sim.Units.page_size) - 1 do
+    if Bytes.unsafe_get ref_ a <> '\000' then incr n
+  done;
+  !n
+
+let agrees mem ref_ =
+  let nonzero = Array.init diff_frames (frame_nonzero ref_) in
+  Bytes.equal (PM.peek mem ~addr:0 ~len:diff_space) ref_
+  && PM.resident_bytes mem = Array.fold_left ( + ) 0 nonzero
+  && Array.for_all Fun.id (Array.mapi (fun f n -> PM.frame_is_zero mem f = (n = 0)) nonzero)
+
+let mk_diff_mem () =
+  let half = diff_space / 2 in
+  mk_mem ~dram:half ~nvm:half ()
+
+let prop_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"phys_mem == flat bytes under generated ops"
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       ops_gen
+       (fun ops ->
+         let mem = mk_diff_mem () and ref_ = Bytes.make diff_space '\000' in
+         List.for_all
+           (fun op ->
+             apply mem ref_ op;
+             agrees mem ref_)
+           ops))
+
+(* A frame's buffer shape as the Phys_mem header describes it, replayed
+   on the reference: no buffer, one line at a frame offset, or a page. *)
+type shape = Absent | Line of int | Page
+
+(* Count the line->page promotions a sequence causes: a frame-sized piece
+   of a write that carries a nonzero byte and does not fit in the frame's
+   one-line buffer. *)
+let promotions ops =
+  let page = Sim.Units.page_size in
+  let ref_ = Bytes.make diff_space '\000' and shape = Array.make diff_frames Absent in
+  let mem = mk_diff_mem () in
+  let count = ref 0 in
+  let cover a n =
+    let in_line l = a >= l && a + n <= l + 64 in
+    let f = a / page in
+    match shape.(f) with
+    | Absent -> shape.(f) <- (if in_line (a / 64 * 64) then Line (a / 64 * 64) else Page)
+    | Line l when not (in_line l) ->
+      incr count;
+      shape.(f) <- Page
+    | Line _ | Page -> ()
+  in
+  let rec store a s =
+    let n = min (String.length s) (page - (a mod page)) in
+    if n > 0 then begin
+      if String.exists (( <> ) '\000') (String.sub s 0 n) then cover a n;
+      store (a + n) (String.sub s n (String.length s - n))
+    end
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Write_byte (a, c) -> store a (String.make 1 c)
+      | Write (a, s) | Restore (a, s) -> store a s
+      | _ -> ());
+      apply mem ref_ op;
+      for f = 0 to diff_frames - 1 do
+        if frame_nonzero ref_ f = 0 then shape.(f) <- Absent
+      done)
+    ops;
+  !count
+
+let test_generator_promotes () =
+  let rand = Random.State.make [| 2017 |] in
+  let seqs = QCheck2.Gen.generate ~rand ~n:100 ops_gen in
+  let total = List.fold_left (fun n ops -> n + promotions ops) 0 seqs in
+  check_bool "generated sequences promote line buffers to pages" true (total > 0)
+
 let suite =
   [
     Alcotest.test_case "frame: address arithmetic" `Quick test_frame_arith;
@@ -289,6 +483,7 @@ let suite =
     Alcotest.test_case "phys_mem: out of range" `Quick test_out_of_range;
     Alcotest.test_case "phys_mem: crash semantics" `Quick test_crash_drops_dram_keeps_nvm;
     Alcotest.test_case "phys_mem: discard is free" `Quick test_discard_no_cost;
+    Alcotest.test_case "phys_mem: one-byte frames stay small" `Quick test_one_byte_frames_stay_small;
     Alcotest.test_case "zero_engine: background pool" `Quick test_zero_engine_pool;
     Alcotest.test_case "zero_engine: budget respected" `Quick test_zero_engine_budget;
     Alcotest.test_case "zero_engine: bulk erase is O(1)" `Quick test_bulk_erase_constant_cost;
@@ -302,4 +497,6 @@ let suite =
     Alcotest.test_case "cache: detach restores flat cost" `Quick test_cache_detach_restores_flat_cost;
     prop_write_read_roundtrip;
     prop_zero_then_read_zero;
+    prop_differential;
+    Alcotest.test_case "phys_mem: generator reaches promotion" `Quick test_generator_promotes;
   ]
