@@ -60,22 +60,27 @@ let check_prot prot ~write ~exec = Prot.allows prot ~write ~exec
    model: hardware updates the PTE bits asynchronously. *)
 let note_access t ~va ~write =
   if write then
-    match Page_table.lookup t.table ~va with
-    | Some (_, leaf) ->
+    match Page_table.find_leaf t.table ~va with
+    | leaf ->
       leaf.Page_table.accessed <- true;
       leaf.Page_table.dirty <- true
-    | None -> ()
+    | exception Not_found -> ()
 
-let translate t ~va ~write ~exec =
+(* [translate] with its result packed in one int, so the per-access path
+   allocates no [result]: a physical address, or one of these codes. *)
+let not_mapped = -1
+let protection = -2
+
+let translate_pa t ~va ~write ~exec =
   let c = local t in
   match Tlb.lookup c.Smp.tlb ~asid:t.asid ~va () with
   | Some (pfn, prot, size) ->
     if check_prot prot ~write ~exec then begin
       note_access t ~va ~write;
       let off = va land (Page_size.bytes size - 1) in
-      Ok (Physmem.Frame.to_addr pfn + off)
+      Physmem.Frame.to_addr pfn + off
     end
-    else Error Protection
+    else protection
   | None -> (
     let via_range_tlb =
       match t.range_table with
@@ -84,8 +89,8 @@ let translate t ~va ~write ~exec =
     in
     match via_range_tlb with
     | Some e ->
-      if check_prot e.Range_table.prot ~write ~exec then Ok (va + e.Range_table.offset)
-      else Error Protection
+      if check_prot e.Range_table.prot ~write ~exec then va + e.Range_table.offset
+      else protection
     | None -> (
       (* Refill: range table first (one entry can cover the whole region),
          then the radix table. *)
@@ -99,28 +104,35 @@ let translate t ~va ~write ~exec =
           Range_tlb.insert c.Smp.range_tlb ~asid:t.asid e;
           mark_cached t
         | None -> ());
-        if check_prot e.Range_table.prot ~write ~exec then Ok (va + e.Range_table.offset)
-        else Error Protection
+        if check_prot e.Range_table.prot ~write ~exec then va + e.Range_table.offset
+        else protection
       | None -> (
         match
           Walker.walk ~trace:t.trace ~clock:t.clock ~stats:t.stats ~table:t.table ~mode:t.mode
             ~va ()
         with
-        | None -> Error Not_mapped
+        | None -> not_mapped
         | Some (pa, leaf) ->
           if write then leaf.Page_table.dirty <- true;
           Tlb.insert c.Smp.tlb ~asid:t.asid
             ~va:(Sim.Units.round_down va ~align:(Page_size.bytes leaf.Page_table.size))
             ~pfn:leaf.Page_table.pfn ~prot:leaf.Page_table.prot ~size:leaf.Page_table.size ();
           mark_cached t;
-          if check_prot leaf.Page_table.prot ~write ~exec then Ok pa else Error Protection)))
+          if check_prot leaf.Page_table.prot ~write ~exec then pa else protection)))
+
+let error_of code = if code = not_mapped then Error Not_mapped else Error Protection
+
+let translate t ~va ~write ~exec =
+  let pa = translate_pa t ~va ~write ~exec in
+  if pa >= 0 then Ok pa else error_of pa
 
 let access t ~mem ~va ~write =
-  match translate t ~va ~write ~exec:false with
-  | Error _ as e -> e
-  | Ok pa ->
+  let pa = translate_pa t ~va ~write ~exec:false in
+  if pa < 0 then error_of pa
+  else begin
     if write then Physmem.Phys_mem.write_byte mem pa 'x' else Physmem.Phys_mem.touch mem pa;
     Ok ()
+  end
 
 (* Purely local full flush (context switch): current core only, zero
    IPIs — the single-core cost the fixed {!Sim.Cost_model.shootdown_cost}

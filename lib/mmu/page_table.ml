@@ -63,16 +63,17 @@ let check_va t va =
 let leaf_node_depth t size = t.levels - 1 - Page_size.depth_above_leaf size
 
 (* Walk to the node at [depth] along [va], creating missing interior
-   nodes when [create_path] is set. *)
+   nodes when [create_path] is set. Raises [Not_found] when a leaf, or a
+   hole with [create_path] unset, blocks the path. *)
 let rec descend t node ~cur ~depth ~va ~create_path =
-  if cur = depth then Some node
+  if cur = depth then node
   else
     let i = index t ~depth:cur va in
     match node.entries.(i) with
     | Table child -> descend t child ~cur:(cur + 1) ~depth ~va ~create_path
-    | Leaf _ -> None
+    | Leaf _ -> raise Not_found
     | Empty ->
-      if not create_path then None
+      if not create_path then raise Not_found
       else begin
         let child = new_node t in
         node.entries.(i) <- Table child;
@@ -89,8 +90,8 @@ let map_page t ~va ~pfn ~prot ~size =
     invalid_arg "Page_table.map_page: misaligned PA";
   let depth = leaf_node_depth t size in
   match descend t t.root ~cur:0 ~depth ~va ~create_path:true with
-  | None -> invalid_arg "Page_table.map_page: blocked by an existing mapping"
-  | Some node ->
+  | exception Not_found -> invalid_arg "Page_table.map_page: blocked by an existing mapping"
+  | node ->
     let i = index t ~depth va in
     (match node.entries.(i) with
     | Empty ->
@@ -124,86 +125,66 @@ let map_range t ~va ~pfn ~len ~prot ~huge =
   in
   loop va pa len 0
 
-(* Walk down recording the path so we can prune empty nodes. Fails (None)
-   if the leaf is missing. *)
-let path_to_leaf t va =
-  let rec loop node depth acc =
-    let i = index t ~depth va in
-    match node.entries.(i) with
-    | Empty -> None
-    | Leaf leaf -> Some (leaf, (node, i) :: acc)
-    | Table child -> loop child (depth + 1) ((node, i) :: acc)
-  in
-  loop t.root 0 []
-
 let free_node t node =
   t.owned_nodes <- t.owned_nodes - 1;
   Sim.Stats.incr t.stats "pt_node_free";
   ignore node.frame
 
-let unmap_page t ~va =
-  check_va t va;
-  match path_to_leaf t va with
-  | None -> invalid_arg "Page_table.unmap_page: not mapped"
-  | Some (_, path) ->
+(* Clear the leaf covering [va] below [node] (at [depth]), pruning on the
+   way back up every node the clear empties. Clearing a leaf inside a
+   shared subtree is legitimate (all sharers see the unmap — that is the
+   semantics of a shared mapping), but a node referenced by other tables
+   is never pruned, and nothing above it empties either. *)
+let rec unmap_below t node depth va =
+  let i = index t ~depth va in
+  match node.entries.(i) with
+  | Empty -> invalid_arg "Page_table.unmap_page: not mapped"
+  | Leaf _ ->
     charge t (model t).Sim.Cost_model.pte_write;
     Sim.Stats.incr t.stats "pte_clear";
-    (* path is deepest-first. Clearing a leaf inside a shared subtree is
-       legitimate (all sharers see the unmap — that is the semantics of a
-       shared mapping), but a node referenced by other tables must never
-       be pruned. *)
-    let rec clear = function
-      | [] -> ()
-      | (node, i) :: rest ->
-        (match node.entries.(i) with
-        | Empty -> ()
-        | Leaf _ ->
-          node.entries.(i) <- Empty;
-          node.live <- node.live - 1
-        | Table child ->
-          if child.live = 0 && child.refs = 1 then begin
-            node.entries.(i) <- Empty;
-            node.live <- node.live - 1;
-            free_node t child
-          end);
-        (* Continue pruning upward only while nodes empty out. *)
-        (match node.entries.(i) with
-        | Empty when node.live = 0 -> clear rest
-        | _ -> ())
-    in
-    clear path
+    node.entries.(i) <- Empty;
+    node.live <- node.live - 1
+  | Table child ->
+    unmap_below t child (depth + 1) va;
+    if child.live = 0 && child.refs = 1 then begin
+      node.entries.(i) <- Empty;
+      node.live <- node.live - 1;
+      free_node t child
+    end
+
+let unmap_page t ~va =
+  check_va t va;
+  unmap_below t t.root 0 va
 
 let ensure_node t ~va ~depth =
   check_va t va;
   if depth < 0 || depth >= t.levels then invalid_arg "Page_table.ensure_node: bad depth";
   match descend t t.root ~cur:0 ~depth ~va ~create_path:true with
-  | Some _ -> ()
-  | None -> invalid_arg "Page_table.ensure_node: blocked by an existing leaf"
+  | _ -> ()
+  | exception Not_found -> invalid_arg "Page_table.ensure_node: blocked by an existing leaf"
+
+(* One descent, no closure: the top-level recursion captures nothing. *)
+let rec leaf_below t node depth va =
+  match node.entries.(index t ~depth va) with
+  | Empty -> raise Not_found
+  | Leaf leaf -> leaf
+  | Table child -> leaf_below t child (depth + 1) va
+
+let find_leaf t ~va =
+  check_va t va;
+  leaf_below t t.root 0 va
 
 let lookup t ~va =
-  check_va t va;
-  let rec loop node depth =
-    let i = index t ~depth va in
-    match node.entries.(i) with
-    | Empty -> None
-    | Leaf leaf ->
-      let span = Page_size.bytes leaf.size in
-      let off = va land (span - 1) in
-      Some (Frame.to_addr leaf.pfn + off, leaf)
-    | Table child -> loop child (depth + 1)
-  in
-  loop t.root 0
+  match find_leaf t ~va with
+  | leaf -> Some (Frame.to_addr leaf.pfn + (va land (Page_size.bytes leaf.size - 1)), leaf)
+  | exception Not_found -> None
 
+(* Every leaf sits in the node [map_page] placed it in, which its size
+   alone determines. *)
 let leaf_depth t ~va =
-  check_va t va;
-  let rec loop node depth =
-    let i = index t ~depth va in
-    match node.entries.(i) with
-    | Empty -> None
-    | Leaf _ -> Some depth
-    | Table child -> loop child (depth + 1)
-  in
-  loop t.root 0
+  match find_leaf t ~va with
+  | leaf -> Some (leaf_node_depth t leaf.size)
+  | exception Not_found -> None
 
 let unmap_range t ~va ~len =
   check_va t va;
@@ -213,9 +194,9 @@ let unmap_range t ~va ~len =
     let count = ref 0 in
     let cursor = ref va in
     while !cursor < va + len do
-      match lookup t ~va:!cursor with
-      | None -> cursor := !cursor + Sim.Units.page_size
-      | Some (_, leaf) ->
+      match find_leaf t ~va:!cursor with
+      | exception Not_found -> cursor := !cursor + Sim.Units.page_size
+      | leaf ->
         let span = Page_size.bytes leaf.size in
         let base = Sim.Units.round_down !cursor ~align:span in
         unmap_page t ~va:base;
@@ -232,9 +213,9 @@ let protect_range t ~va ~len ~prot =
     let count = ref 0 in
     let cursor = ref va in
     while !cursor < va + len do
-      (match lookup t ~va:!cursor with
-      | None -> cursor := !cursor + Sim.Units.page_size
-      | Some (_, leaf) ->
+      (match find_leaf t ~va:!cursor with
+      | exception Not_found -> cursor := !cursor + Sim.Units.page_size
+      | leaf ->
         leaf.prot <- prot;
         charge t (model t).Sim.Cost_model.pte_write;
         Sim.Stats.incr t.stats "pte_protect";
@@ -245,10 +226,6 @@ let protect_range t ~va ~len ~prot =
     !count
   end
 
-let node_at t ~va ~depth =
-  (* The node at [depth] whose entry (index of va) roots the subtree. *)
-  descend t t.root ~cur:0 ~depth ~va ~create_path:false
-
 let share_subtree ~src ~src_va ~dst ~dst_va ~depth =
   if src.levels <> dst.levels then invalid_arg "Page_table.share_subtree: level mismatch";
   if depth <= 0 || depth >= src.levels then invalid_arg "Page_table.share_subtree: bad depth";
@@ -258,12 +235,12 @@ let share_subtree ~src ~src_va ~dst ~dst_va ~depth =
      at [depth]. Alignment must be to that entry's span. *)
   if not (Sim.Units.is_aligned src_va ~align:span) || not (Sim.Units.is_aligned dst_va ~align:span)
   then invalid_arg "Page_table.share_subtree: VAs not aligned to subtree span";
-  match node_at src ~va:src_va ~depth with
-  | None -> invalid_arg "Page_table.share_subtree: source subtree missing"
-  | Some src_node -> (
+  match descend src src.root ~cur:0 ~depth ~va:src_va ~create_path:false with
+  | exception Not_found -> invalid_arg "Page_table.share_subtree: source subtree missing"
+  | src_node -> (
     match descend dst dst.root ~cur:0 ~depth:(depth - 1) ~va:dst_va ~create_path:true with
-    | None -> invalid_arg "Page_table.share_subtree: destination blocked"
-    | Some parent ->
+    | exception Not_found -> invalid_arg "Page_table.share_subtree: destination blocked"
+    | parent ->
       let i = index dst ~depth:(depth - 1) dst_va in
       (match parent.entries.(i) with
       | Empty ->
@@ -277,8 +254,8 @@ let share_subtree ~src ~src_va ~dst ~dst_va ~depth =
 let unshare t ~va ~depth =
   if depth <= 0 || depth >= t.levels then invalid_arg "Page_table.unshare: bad depth";
   match descend t t.root ~cur:0 ~depth:(depth - 1) ~va ~create_path:false with
-  | None -> invalid_arg "Page_table.unshare: no such entry"
-  | Some parent -> (
+  | exception Not_found -> invalid_arg "Page_table.unshare: no such entry"
+  | parent -> (
     let i = index t ~depth:(depth - 1) va in
     match parent.entries.(i) with
     | Table child when child.refs > 1 ->
@@ -294,8 +271,8 @@ let is_shared_at t ~va ~depth =
   if depth <= 0 || depth >= t.levels then false
   else
     match descend t t.root ~cur:0 ~depth:(depth - 1) ~va ~create_path:false with
-    | None -> false
-    | Some parent -> (
+    | exception Not_found -> false
+    | parent -> (
       match parent.entries.(index t ~depth:(depth - 1) va) with
       | Table child -> child.refs > 1
       | Empty | Leaf _ -> false)

@@ -64,11 +64,19 @@ val unmap_range : t -> va:int -> len:int -> int
 val protect_range : t -> va:int -> len:int -> prot:Prot.t -> int
 (** Rewrite protection on every leaf in range; returns PTEs touched. *)
 
+val find_leaf : t -> va:int -> leaf
+(** The leaf covering [va], found by one descent from the root (no
+    hardware cost). Allocates nothing, so it is what per-page callers
+    use when they need only the leaf. Raises [Not_found] if [va] is
+    unmapped and [Invalid_argument] if [va] is out of range. *)
+
 val lookup : t -> va:int -> (int * leaf) option
-(** Software lookup (no hardware cost): physical address + leaf. *)
+(** Software lookup (no hardware cost): physical address + leaf. Built
+    on {!find_leaf}. *)
 
 val leaf_depth : t -> va:int -> int option
-(** Depth at which [va]'s leaf sits, for walk-cost computation. *)
+(** Depth of the node holding [va]'s leaf, for walk-cost computation.
+    Built on {!find_leaf}: a leaf's size fixes its depth. *)
 
 val share_subtree : src:t -> src_va:int -> dst:t -> dst_va:int -> depth:int -> unit
 (** Graft the [src] subtree under the entry at [depth] covering [src_va]

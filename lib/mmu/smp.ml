@@ -20,6 +20,7 @@ type t = {
   stats : Sim.Stats.t;
   trace : Sim.Trace.t;
   cores : core array;
+  busy_names : string array; (* "core<N>_busy" gauge names, formatted once *)
   numa_nodes : int;
 }
 
@@ -42,7 +43,14 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ?(cores = 1) ?(numa_nodes
       busy_cycles = 0;
     }
   in
-  { clock; stats; trace; cores = Array.init cores mk_core; numa_nodes }
+  {
+    clock;
+    stats;
+    trace;
+    cores = Array.init cores mk_core;
+    busy_names = Array.init cores (Printf.sprintf "core%d_busy");
+    numa_nodes;
+  }
 
 let clock t = t.clock
 let stats t = t.stats
@@ -63,7 +71,7 @@ let add_busy t i cycles =
   let c = core t i in
   c.busy_cycles <- c.busy_cycles + cycles;
   Sim.Causal.add_busy (Sim.Trace.causal t.trace) ~core:i ~cycles;
-  Sim.Stats.set_gauge t.stats (Printf.sprintf "core%d_busy" i) c.busy_cycles;
+  Sim.Stats.set_gauge t.stats t.busy_names.(i) c.busy_cycles;
   Sim.Stats.sample t.stats ~now:(Sim.Clock.now t.clock)
 
 let clear t =

@@ -72,40 +72,50 @@ let set_of t va size =
   let vpn = va / Page_size.bytes size in
   (vpn lxor (Page_size.bytes size lsr 12)) land (t.sets - 1)
 
-let sizes = [ Page_size.Small; Page_size.Huge_2m; Page_size.Huge_1g ]
+(* Returned by [find_slot] when nothing matches, instead of an option
+   that would allocate on every hit. Never valid, never stored. *)
+let no_slot =
+  { valid = false; asid = 0; tag = 0; size = Page_size.Small; pfn = 0; prot = Prot.r; used = 0 }
+
+let rec first_match set ~asid ~tag size i =
+  if i = Array.length set then no_slot
+  else
+    let s = set.(i) in
+    if s.valid && s.asid = asid && s.tag = tag && s.size = size then s
+    else first_match set ~asid ~tag size (i + 1)
 
 let find_slot t ~asid va size =
-  let set = t.data.(set_of t va size) in
-  let tag = tag_of va size in
-  let found = ref None in
-  for i = 0 to t.ways - 1 do
-    let s = set.(i) in
-    if !found = None && s.valid && s.asid = asid && s.tag = tag && s.size = size then
-      found := Some s
-  done;
-  !found
+  first_match t.data.(set_of t va size) ~asid ~tag:(tag_of va size) size 0
 
-let lookup t ?(asid = 0) ~va () =
-  pspan t "tlb_lookup" @@ fun () ->
+(* The first slot matching [va] at any page size, smallest size first. *)
+let find_any t ~asid va =
+  let s = find_slot t ~asid va Page_size.Small in
+  if s != no_slot then s
+  else
+    let s = find_slot t ~asid va Page_size.Huge_2m in
+    if s != no_slot then s else find_slot t ~asid va Page_size.Huge_1g
+
+let lookup_unprofiled t ~asid ~va =
   let start = Sim.Clock.now t.clock in
   Sim.Clock.charge t.clock (model t).Sim.Cost_model.tlb_hit;
-  let found = ref None in
-  List.iter
-    (fun size ->
-      if !found = None then
-        match find_slot t ~asid va size with
-        | Some s ->
-          s.used <- touch t;
-          found := Some (s.pfn, s.prot, s.size)
-        | None -> ())
-    sizes;
-  (match !found with
-  | Some _ -> Sim.Stats.incr t.stats "tlb_hit"
-  | None -> Sim.Stats.incr t.stats "tlb_miss");
-  Sim.Trace.record t.trace ~op:"tlb_lookup" ~start
-    ~outcome:(match !found with Some _ -> "hit" | None -> "miss")
-    ();
-  !found
+  let s = find_any t ~asid va in
+  if s != no_slot then begin
+    s.used <- touch t;
+    Sim.Stats.incr t.stats "tlb_hit";
+    Sim.Trace.record t.trace ~op:"tlb_lookup" ~start ~outcome:"hit" ();
+    Some (s.pfn, s.prot, s.size)
+  end
+  else begin
+    Sim.Stats.incr t.stats "tlb_miss";
+    Sim.Trace.record t.trace ~op:"tlb_lookup" ~start ~outcome:"miss" ();
+    None
+  end
+
+(* The span closure is built only when a profiler is attached. *)
+let lookup t ?(asid = 0) ~va () =
+  if Sim.Profile.enabled (Sim.Trace.profile t.trace) then
+    pspan t "tlb_lookup" (fun () -> lookup_unprofiled t ~asid ~va)
+  else lookup_unprofiled t ~asid ~va
 
 let insert t ?(asid = 0) ~va ~pfn ~prot ~size () =
   let set = t.data.(set_of t va size) in
@@ -142,19 +152,21 @@ let count_shootdown t n =
   Sim.Stats.add t.stats "tlb_shootdown" n;
   t.shootdowns <- t.shootdowns + n
 
+let drop_slot t ~asid va size =
+  let s = find_slot t ~asid va size in
+  if s != no_slot then begin
+    s.valid <- false;
+    gauge_delta t (-1)
+  end
+
 let invalidate_page t ?(asid = 0) ~va () =
   pspan t "tlb_shootdown" @@ fun () ->
   let start = Sim.Clock.now t.clock in
   Sim.Clock.charge t.clock (Sim.Cost_model.shootdown_cost (model t));
   count_shootdown t 1;
-  List.iter
-    (fun size ->
-      match find_slot t ~asid va size with
-      | Some s ->
-        s.valid <- false;
-        gauge_delta t (-1)
-      | None -> ())
-    sizes;
+  drop_slot t ~asid va Page_size.Small;
+  drop_slot t ~asid va Page_size.Huge_2m;
+  drop_slot t ~asid va Page_size.Huge_1g;
   Sim.Trace.record t.trace ~op:"tlb_shootdown" ~start ~arg:1 ()
 
 let iter t f =

@@ -12,8 +12,7 @@ let refs_for_walk ~guest_levels ~leaf_depth ~mode =
        g*(h+1) + h = (g+1)*(h+1) - 1. *)
     ((g + 1) * (h + 1)) - 1
 
-let walk ?(trace = Sim.Trace.disabled) ~clock ~stats ~table ~mode ~va () =
-  Sim.Trace.prof_span trace "page_walk" @@ fun () ->
+let walk_unprofiled trace ~clock ~stats ~table ~mode ~va =
   let start = Sim.Clock.now clock in
   let leaf_depth =
     match Page_table.leaf_depth table ~va with
@@ -30,14 +29,19 @@ let walk ?(trace = Sim.Trace.disabled) ~clock ~stats ~table ~mode ~va () =
     (model.Sim.Cost_model.mem_ref_dram + ((refs - 1) * model.Sim.Cost_model.cache_ref));
   Sim.Stats.add stats "walk_refs" refs;
   Sim.Stats.incr stats "page_walks";
-  let result =
-    match Page_table.lookup table ~va with
-    | None -> None
-    | Some (pa, leaf) ->
-      leaf.Page_table.accessed <- true;
-      Some (pa, leaf)
-  in
-  Sim.Trace.record trace ~op:"page_walk" ~start ~arg:refs
-    ~outcome:(match result with Some _ -> "ok" | None -> "hole")
-    ();
-  result
+  match Page_table.find_leaf table ~va with
+  | leaf ->
+    leaf.Page_table.accessed <- true;
+    Sim.Trace.record trace ~op:"page_walk" ~start ~arg:refs ~outcome:"ok" ();
+    let off = va land (Page_size.bytes leaf.Page_table.size - 1) in
+    Some (Physmem.Frame.to_addr leaf.Page_table.pfn + off, leaf)
+  | exception Not_found ->
+    Sim.Trace.record trace ~op:"page_walk" ~start ~arg:refs ~outcome:"hole" ();
+    None
+
+(* The span closure is built only when a profiler is attached. *)
+let walk ?(trace = Sim.Trace.disabled) ~clock ~stats ~table ~mode ~va () =
+  if Sim.Profile.enabled (Sim.Trace.profile trace) then
+    Sim.Trace.prof_span trace "page_walk" (fun () ->
+        walk_unprofiled trace ~clock ~stats ~table ~mode ~va)
+  else walk_unprofiled trace ~clock ~stats ~table ~mode ~va

@@ -4,13 +4,13 @@ type t = {
   buckets : int array;
   mutable count : int;
   mutable total : int;
-  mutable sq : float; (* sum of squared samples, for stddev *)
+  sq : float array; (* one cell: sum of squared samples, for stddev; unboxed *)
   mutable min_v : int;
   mutable max_v : int;
 }
 
 let create () =
-  { buckets = Array.make 63 0; count = 0; total = 0; sq = 0.0; min_v = max_int; max_v = 0 }
+  { buckets = Array.make 63 0; count = 0; total = 0; sq = [| 0.0 |]; min_v = max_int; max_v = 0 }
 
 let bucket_of v = if v <= 0 then 0 else 1 + Units.log2_floor v
 
@@ -20,7 +20,7 @@ let observe t v =
   t.buckets.(b) <- t.buckets.(b) + 1;
   t.count <- t.count + 1;
   t.total <- t.total + v;
-  t.sq <- t.sq +. (float_of_int v *. float_of_int v);
+  t.sq.(0) <- t.sq.(0) +. (float_of_int v *. float_of_int v);
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
 
@@ -36,7 +36,7 @@ let stddev t =
     let n = float_of_int t.count in
     let m = mean t in
     (* population stddev; max guards the tiny negative from float rounding *)
-    sqrt (max 0.0 ((t.sq /. n) -. (m *. m)))
+    sqrt (max 0.0 ((t.sq.(0) /. n) -. (m *. m)))
 
 let percentile t p =
   assert (p >= 0.0 && p <= 100.0);

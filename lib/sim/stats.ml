@@ -21,16 +21,21 @@ let series_capacity = 1024
 let create () =
   { counters = Hashtbl.create 32; gauges = Hashtbl.create 16; sample_interval = 0; next_sample = 0 }
 
+(* [Hashtbl.find] rather than [find_opt]: the hot counters are bumped
+   several times per simulated page, and [find_opt] allocates its [Some]. *)
 let cell t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
+  try Hashtbl.find t.counters name
+  with Not_found ->
     let r = ref 0 in
     Hashtbl.add t.counters name r;
     r
 
 let incr t name = Stdlib.incr (cell t name)
-let add t name n = cell t name := !(cell t name) + n
+
+let add t name n =
+  let r = cell t name in
+  r := !r + n
+
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 let snapshot t =
@@ -51,9 +56,8 @@ let diff ~before ~after =
 (* ------------------------------- gauges ------------------------------- *)
 
 let gauge_cell t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some g -> g
-  | None ->
+  try Hashtbl.find t.gauges name
+  with Not_found ->
     let g = { value = 0; hwm = 0; points = Queue.create () } in
     Hashtbl.add t.gauges name g;
     g

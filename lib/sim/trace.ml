@@ -12,9 +12,18 @@ type event = {
   outcome : string;
 }
 
+(* The event ring is kept as parallel arrays, like [Profile]'s span
+   ring: recording writes six slots and allocates nothing. [event]
+   records are built only when [events] reads the ring; an event's
+   [seq] is its recording index, so it needs no slot of its own. *)
 type t = {
   clock : Clock.t option; (* None = disabled sentinel *)
-  ring : event option array;
+  ev_op : string array;
+  ev_core : int array;
+  ev_start : int array;
+  ev_finish : int array;
+  ev_arg : int array;
+  ev_outcome : string array;
   mutable recorded : int; (* total events ever recorded, ring or not *)
   latencies : (string, Histogram.t) Hashtbl.t;
   mutable profile : Profile.t; (* span-tree profiler, if attached *)
@@ -25,11 +34,15 @@ type t = {
 
 let default_capacity = 4096
 
-let create ~clock ?(capacity = default_capacity) () =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
+let make clock capacity =
   {
-    clock = Some clock;
-    ring = Array.make capacity None;
+    clock;
+    ev_op = Array.make capacity "";
+    ev_core = Array.make capacity 0;
+    ev_start = Array.make capacity 0;
+    ev_finish = Array.make capacity 0;
+    ev_arg = Array.make capacity 0;
+    ev_outcome = Array.make capacity "";
     recorded = 0;
     latencies = Hashtbl.create 32;
     profile = Profile.disabled;
@@ -38,17 +51,11 @@ let create ~clock ?(capacity = default_capacity) () =
     cur_core = 0;
   }
 
-let disabled =
-  {
-    clock = None;
-    ring = [||];
-    recorded = 0;
-    latencies = Hashtbl.create 1;
-    profile = Profile.disabled;
-    faults = Fault_inject.disabled;
-    causal = Causal.disabled;
-    cur_core = 0;
-  }
+let create ~clock ?(capacity = default_capacity) () =
+  if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
+  make (Some clock) capacity
+
+let disabled = make None 0
 
 let enabled t = t.clock <> None
 
@@ -75,14 +82,13 @@ let current_core t = t.cur_core
    across unrelated components. *)
 let set_core t core = if enabled t then t.cur_core <- core
 
-let capacity t = Array.length t.ring
+let capacity t = Array.length t.ev_op
 let recorded t = t.recorded
-let dropped t = max 0 (t.recorded - Array.length t.ring)
+let dropped t = max 0 (t.recorded - capacity t)
 
 let latency_for t op =
-  match Hashtbl.find_opt t.latencies op with
-  | Some h -> h
-  | None ->
+  try Hashtbl.find t.latencies op
+  with Not_found ->
     let h = Histogram.create () in
     Hashtbl.add t.latencies op h;
     h
@@ -92,9 +98,13 @@ let record t ~op ~start ?(arg = 0) ?(outcome = "ok") ?core () =
   | None -> ()
   | Some clock ->
     let finish = Clock.now clock in
-    let core = match core with Some c -> c | None -> t.cur_core in
-    t.ring.(t.recorded mod Array.length t.ring) <-
-      Some { seq = t.recorded; op; core; start; finish; arg; outcome };
+    let i = t.recorded mod capacity t in
+    t.ev_op.(i) <- op;
+    t.ev_core.(i) <- (match core with Some c -> c | None -> t.cur_core);
+    t.ev_start.(i) <- start;
+    t.ev_finish.(i) <- finish;
+    t.ev_arg.(i) <- arg;
+    t.ev_outcome.(i) <- outcome;
     t.recorded <- t.recorded + 1;
     Histogram.observe (latency_for t op) (max 0 (finish - start))
 
@@ -123,17 +133,22 @@ let span t ~op ?(arg = 0) ?outcome f =
       raise e)
 
 let events t =
-  let cap = Array.length t.ring in
-  if cap = 0 || t.recorded = 0 then []
-  else begin
-    let kept = min t.recorded cap in
-    let first = t.recorded - kept in
-    (* oldest retained event first *)
-    List.init kept (fun i ->
-        match t.ring.((first + i) mod cap) with
-        | Some e -> e
-        | None -> assert false)
-  end
+  let cap = capacity t in
+  let kept = min t.recorded cap in
+  let first = t.recorded - kept in
+  (* oldest retained event first *)
+  List.init kept (fun k ->
+      let seq = first + k in
+      let i = seq mod cap in
+      {
+        seq;
+        op = t.ev_op.(i);
+        core = t.ev_core.(i);
+        start = t.ev_start.(i);
+        finish = t.ev_finish.(i);
+        arg = t.ev_arg.(i);
+        outcome = t.ev_outcome.(i);
+      })
 
 let latency t op = Hashtbl.find_opt t.latencies op
 
@@ -142,7 +157,8 @@ let ops t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
+  Array.fill t.ev_op 0 (capacity t) "";
+  Array.fill t.ev_outcome 0 (capacity t) "";
   t.recorded <- 0;
   Hashtbl.reset t.latencies
 

@@ -8,7 +8,11 @@
     Components store a trace field defaulting to {!disabled}, a shared no-op
     sentinel: recording into it does nothing, and {!span} just runs its
     function. Costs charged to the clock never depend on whether tracing is
-    enabled. *)
+    enabled.
+
+    Recording allocates nothing once an operation's histogram exists: the
+    ring stores each field in its own preallocated array, and {!events}
+    rebuilds {!event} records from those arrays on read. *)
 
 type event = {
   seq : int;  (** monotonic sequence number: emission order, never reused *)
@@ -99,7 +103,7 @@ val span : t -> op:string -> ?arg:int -> ?outcome:('a -> string) -> (unit -> 'a)
     and re-raises. On {!disabled} it just runs [f]. *)
 
 val events : t -> event list
-(** Retained events, oldest first. *)
+(** Retained events, oldest first, rebuilt from the ring on each call. *)
 
 val latency : t -> string -> Histogram.t option
 (** Latency histogram for one operation, if it ever recorded. *)

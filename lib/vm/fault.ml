@@ -39,8 +39,8 @@ let raw_frame ctx =
 (* Graceful degradation: a failed allocation gets exactly one
    reclaim-then-retry pass before the typed OOM surfaces. *)
 let with_reclaim_retry ctx alloc =
-  match alloc () with
-  | Some pfn -> Some pfn
+  match alloc ctx with
+  | Some _ as got -> got
   | None -> (
     match ctx.reclaim with
     | None -> None
@@ -57,14 +57,14 @@ let with_reclaim_retry ctx alloc =
       ignore (Physmem.Zero_engine.background_step ctx.zero ~budget_frames:(max 1 got));
       let wake = Sim.Causal.emit causal ~core ~op:"reclaim_wake" ~detail:(string_of_int got) () in
       Sim.Causal.link causal ~src:stall ~dst:wake ~kind:"reclaim";
-      alloc ())
+      alloc ctx)
 
 let oom ctx what =
   Sim.Stats.incr (stats ctx) "alloc_oom";
   Sim.Errno.fail Sim.Errno.ENOMEM what
 
 let raw_frame_exn ?(what = "raw frame") ctx =
-  match with_reclaim_retry ctx (fun () -> raw_frame ctx) with
+  match with_reclaim_retry ctx raw_frame with
   | Some pfn -> pfn
   | None -> oom ctx what
 
@@ -84,7 +84,7 @@ let fresh_zero_frame_once ctx =
       | None -> raw_frame ctx (* laundered on demand: already zero *)))
 
 let fresh_zero_frame ctx =
-  match with_reclaim_retry ctx (fun () -> fresh_zero_frame_once ctx) with
+  match with_reclaim_retry ctx fresh_zero_frame_once with
   | Some pfn -> pfn
   | None -> oom ctx "zero frame"
 
@@ -160,8 +160,8 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
     if not (Hw.Prot.allows vma.Vma.prot ~write ~exec:false) then raise (Segfault va);
     let table = Address_space.page_table aspace in
     let page_va = Sim.Units.round_down va ~align:Sim.Units.page_size in
-    (match Hw.Page_table.lookup table ~va with
-    | Some (_, leaf) ->
+    (match Hw.Page_table.find_leaf table ~va with
+    | leaf ->
       (* Mapped but the access faulted: protection. Legal only as CoW. *)
       if
         write
@@ -175,7 +175,7 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
         Minor
       end
       else raise (Segfault va)
-    | None -> (
+    | exception Not_found -> (
       match vma.Vma.backing with
       | Vma.Anon ->
         if Swap.contains ctx.swap ~key:(pid, page_va) then begin
@@ -198,20 +198,26 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
         Sim.Stats.incr (stats ctx) "minor_fault";
         Minor))
 
+let handle_unprofiled ctx trace ~aspace ~pid ~va ~write =
+  let start = Sim.Clock.now (clock ctx) in
+  match handle_inner ctx ~aspace ~pid ~va ~write with
+  | kind ->
+    Sim.Trace.record trace ~op:"fault_handle" ~start
+      ~outcome:(match kind with Minor -> "minor" | Major -> "major")
+      ();
+    kind
+  | exception Segfault va ->
+    Sim.Trace.record trace ~op:"fault_handle" ~start ~outcome:"segfault" ();
+    raise (Segfault va)
+
 let handle ctx ~aspace ~pid ~va ~write =
   let trace = Physmem.Phys_mem.trace ctx.mem in
-  let start = Sim.Clock.now (clock ctx) in
   let result =
-    Sim.Trace.prof_span trace "fault" @@ fun () ->
-    match handle_inner ctx ~aspace ~pid ~va ~write with
-    | kind ->
-      Sim.Trace.record trace ~op:"fault_handle" ~start
-        ~outcome:(match kind with Minor -> "minor" | Major -> "major")
-        ();
-      kind
-    | exception Segfault va ->
-      Sim.Trace.record trace ~op:"fault_handle" ~start ~outcome:"segfault" ();
-      raise (Segfault va)
+    (* The span closure is built only when a profiler is attached. *)
+    if Sim.Profile.enabled (Sim.Trace.profile trace) then
+      Sim.Trace.prof_span trace "fault" (fun () ->
+          handle_unprofiled ctx trace ~aspace ~pid ~va ~write)
+    else handle_unprofiled ctx trace ~aspace ~pid ~va ~write
   in
   Sim.Stats.sample (stats ctx) ~now:(Sim.Clock.now (clock ctx));
   result

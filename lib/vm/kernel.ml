@@ -58,7 +58,13 @@ type t = {
   mutable next_pid : int;
   userfault : Userfault.t;
   aslr_rng : Sim.Rng.t;
+  fault_ctx : Fault.ctx; (* built once: every fault and frame allocation reads it *)
   mutable busy_depth : int; (* re-entrancy guard for [on_core] *)
+  (* The outermost [on_core] frame: its core, the trace core it
+     replaced, and its start cycle. *)
+  mutable outer_core : int;
+  mutable outer_prev_core : int;
+  mutable outer_start : int;
 }
 
 let buddy_max_order = 10
@@ -135,7 +141,11 @@ let create ?(config = default_config) () =
     next_pid = 1;
     userfault = Userfault.create ();
     aslr_rng = Sim.Rng.create ~seed:0x51ed;
+    fault_ctx = { Fault.mem; meta; buddy; swap; zero; zcache; reclaim = Some reclaim };
     busy_depth = 0;
+    outer_core = 0;
+    outer_prev_core = 0;
+    outer_start = 0;
   }
 
 let config t = t.config
@@ -156,16 +166,7 @@ let pmfs t = t.pmfs
 
 let userfault t = t.userfault
 
-let fault_ctx t =
-  {
-    Fault.mem = t.mem;
-    meta = t.meta;
-    buddy = t.buddy;
-    swap = t.swap;
-    zero = t.zero;
-    zcache = t.zcache;
-    reclaim = Some t.reclaim;
-  }
+let fault_ctx t = t.fault_ctx
 
 let background_zero t ~budget_frames = Alloc.Zero_cache.refill t.zcache ~budget_frames
 
@@ -189,26 +190,30 @@ let causal t = Sim.Trace.causal t.trace
    duration, and physical accesses resolve NUMA locality against that
    core's node. Re-entrant kernel paths (mlock faulting pages in via
    [access]) bill only at the outermost frame. *)
+let enter_core t proc =
+  t.busy_depth <- 1;
+  let core = proc.Proc.core in
+  t.outer_core <- core;
+  t.outer_prev_core <- Sim.Trace.current_core t.trace;
+  Sim.Trace.set_core t.trace core;
+  Phys_mem.set_accessor_node t.mem (Hw.Smp.numa_node_of_core t.smp core);
+  t.outer_start <- Sim.Clock.now t.clock
+
+let leave_core t =
+  t.busy_depth <- 0;
+  Sim.Trace.set_core t.trace t.outer_prev_core;
+  Hw.Smp.add_busy t.smp t.outer_core (Sim.Clock.now t.clock - t.outer_start)
+
 let on_core t proc f =
   if t.busy_depth > 0 then f ()
   else begin
-    t.busy_depth <- 1;
-    let core = proc.Proc.core in
-    let prev = Sim.Trace.current_core t.trace in
-    Sim.Trace.set_core t.trace core;
-    Phys_mem.set_accessor_node t.mem (Hw.Smp.numa_node_of_core t.smp core);
-    let start = Sim.Clock.now t.clock in
-    let fin () =
-      t.busy_depth <- 0;
-      Sim.Trace.set_core t.trace prev;
-      Hw.Smp.add_busy t.smp core (Sim.Clock.now t.clock - start)
-    in
+    enter_core t proc;
     match f () with
     | v ->
-      fin ();
+      leave_core t;
       v
     | exception e ->
-      fin ();
+      leave_core t;
       raise e
   end
 
@@ -297,18 +302,18 @@ let teardown_vma t (vma : Vma.t) ~table ~batch =
   let pages = vma.Vma.len / Sim.Units.page_size in
   for i = 0 to pages - 1 do
     let page_va = vma.Vma.start + (i * Sim.Units.page_size) in
-    match Hw.Page_table.lookup table ~va:page_va with
-    | Some (_, leaf) when leaf.Hw.Page_table.size = Hw.Page_size.Small ->
+    match Hw.Page_table.find_leaf table ~va:page_va with
+    | leaf when leaf.Hw.Page_table.size = Hw.Page_size.Small ->
       release_page t vma ~page_va leaf;
       Hw.Page_table.unmap_page table ~va:page_va
-    | Some (_, leaf) ->
+    | leaf ->
       (* Huge leaf: unmap once at its base. *)
       let span = Hw.Page_size.bytes leaf.Hw.Page_table.size in
       if Sim.Units.is_aligned page_va ~align:span then begin
         release_page t vma ~page_va leaf;
         Hw.Page_table.unmap_page table ~va:page_va
       end
-    | None -> ()
+    | exception Not_found -> ()
   done;
   Hw.Tlb_batch.add batch ~va:vma.Vma.start ~len:vma.Vma.len;
   match vma.Vma.backing with
@@ -372,11 +377,11 @@ let register_if_anon t proc ~va =
   let aspace = proc.Proc.aspace in
   match Address_space.find_vma aspace ~va with
   | Some { Vma.backing = Vma.Anon; _ } -> (
-    match Hw.Page_table.lookup (Address_space.page_table aspace) ~va with
-    | Some (_, leaf) ->
+    match Hw.Page_table.find_leaf (Address_space.page_table aspace) ~va with
+    | leaf ->
       Reclaim.register t.reclaim ~pid:proc.Proc.pid ~aspace ~va
         ~pfn:leaf.Hw.Page_table.pfn
-    | None -> ())
+    | exception Not_found -> ())
   | _ -> ()
 
 let mmap_anon t proc ~len ~prot ~populate =
@@ -537,37 +542,50 @@ let user_page_release t proc ~va =
     Some pfn
 
 let rec access_inner t proc ~va ~write =
-  pspan t "access" @@ fun () ->
+  if Sim.Profile.enabled (Sim.Trace.profile t.trace) then
+    pspan t "access" (fun () -> access_unprofiled t proc ~va ~write)
+  else access_unprofiled t proc ~va ~write
+
+and access_unprofiled t proc ~va ~write =
   let aspace = proc.Proc.aspace in
   match Hw.Mmu.access (Address_space.mmu aspace) ~mem:t.mem ~va ~write with
   | Ok () -> ()
-  | Error _ ->
-    (match
-       ( Hw.Page_table.lookup (Address_space.page_table aspace) ~va,
-         Userfault.find t.userfault ~pid:proc.Proc.pid ~va )
-     with
-    | None, Some (handler, prot) ->
-      (* Missing page in a registered range: user-level paging. *)
-      handle_userfault t proc ~va ~write ~prot ~handler;
-      access_inner t proc ~va ~write
-    | _ -> kernel_fault t proc ~va ~write);
-    ()
+  | Error _ -> (
+    match Hw.Page_table.find_leaf (Address_space.page_table aspace) ~va with
+    | _ -> kernel_fault t proc ~va ~write
+    | exception Not_found -> (
+      match Userfault.find t.userfault ~pid:proc.Proc.pid ~va with
+      | Some (handler, prot) ->
+        (* Missing page in a registered range: user-level paging. *)
+        handle_userfault t proc ~va ~write ~prot ~handler;
+        access_inner t proc ~va ~write
+      | None -> kernel_fault t proc ~va ~write))
 
 and kernel_fault t proc ~va ~write =
   let aspace = proc.Proc.aspace in
-  (let kind = Fault.handle (fault_ctx t) ~aspace ~pid:proc.Proc.pid ~va ~write in
-   match kind with
-   | Fault.Major -> (
-     (* The page came back from swap with real contents: keep it dirty so
-        a later eviction writes it out again. *)
-     match Hw.Page_table.lookup (Address_space.page_table aspace) ~va with
-     | Some (_, leaf) -> leaf.Hw.Page_table.dirty <- true
-     | None -> ())
-   | Fault.Minor -> ());
+  (match Fault.handle t.fault_ctx ~aspace ~pid:proc.Proc.pid ~va ~write with
+  | Fault.Major -> (
+    (* The page came back from swap with real contents: keep it dirty so
+       a later eviction writes it out again. *)
+    match Hw.Page_table.find_leaf (Address_space.page_table aspace) ~va with
+    | leaf -> leaf.Hw.Page_table.dirty <- true
+    | exception Not_found -> ())
+  | Fault.Minor -> ());
   register_if_anon t proc ~va;
   access_inner t proc ~va ~write
 
-let access t proc ~va ~write = on_core t proc @@ fun () -> access_inner t proc ~va ~write
+(* [on_core] specialised to the per-page entry point, so an access
+   allocates no closure. *)
+let access t proc ~va ~write =
+  if t.busy_depth > 0 then access_inner t proc ~va ~write
+  else begin
+    enter_core t proc;
+    match access_inner t proc ~va ~write with
+    | () -> leave_core t
+    | exception e ->
+      leave_core t;
+      raise e
+  end
 
 let access_range t proc ~va ~len ~write ~stride =
   if stride <= 0 then invalid_arg "Kernel.access_range: bad stride";

@@ -55,9 +55,8 @@ let frames t = t.frames
 
 let page t pfn =
   if pfn < 0 || pfn >= t.frames then invalid_arg "Page_meta: frame out of range";
-  match Hashtbl.find_opt t.pages pfn with
-  | Some p -> p
-  | None ->
+  try Hashtbl.find t.pages pfn
+  with Not_found ->
     let p = { flags = 0; refcount = 0; mapcount = 0 } in
     Hashtbl.add t.pages pfn p;
     p

@@ -36,6 +36,27 @@ let mk_page_table ?(levels = 4) () =
   in
   (Hw.Page_table.create ~clock ~stats ~levels ~alloc_frame, clock, stats)
 
+(* Words allocated so far, exactly: minor + major - promoted, so a block
+   promoted out of the minor heap is counted once. Unlike [Gc.counters]
+   alone, [Gc.minor_words] includes the young allocation since the last
+   minor collection, so readings do not depend on GC timing. *)
+let words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Words [f] allocates per call, averaged over [n] calls, with the
+   meter's own allocation subtracted. *)
+let words_per_call ?(n = 1000) f =
+  let bias =
+    let w0 = words () in
+    words () -. w0
+  in
+  let w0 = words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (words () -. w0 -. bias) /. float_of_int n
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)

@@ -231,6 +231,82 @@ let test_truncate_boundary_only () =
   check_int "boundary cut piece" 1 (List.length cut2);
   check_int "boundary pages" 4 (Fs.Extent_tree.pages t)
 
+(* ---------------------- hot-path allocation budgets ---------------- *)
+
+(* Exact words per call (see [Helpers.words]), so these budgets hold at
+   any minor-heap size. Optional arguments are passed as literals: a
+   literal [Some] is a static constant, so what is measured is the
+   callee's own allocation. *)
+
+let check_zero what per_call =
+  check_bool (Printf.sprintf "%s: %.2f words/call = 0" what per_call) true (per_call = 0.)
+
+let check_budget what ~budget per_call =
+  check_bool
+    (Printf.sprintf "%s: %.1f words <= %d" what per_call budget)
+    true
+    (per_call <= float_of_int budget)
+
+let test_trace_stats_alloc_free () =
+  let clock, stats = mk_env () in
+  let trace = Sim.Trace.create ~clock ~capacity:64 () in
+  let record () = Sim.Trace.record trace ~op:"op" ~start:0 ~arg:7 ~outcome:"hit" () in
+  record ();
+  check_zero "Trace.record" (words_per_call record);
+  Sim.Stats.incr stats "c";
+  check_zero "Stats.incr" (words_per_call (fun () -> Sim.Stats.incr stats "c"));
+  check_zero "Stats.add" (words_per_call (fun () -> Sim.Stats.add stats "c" 3));
+  Sim.Stats.add_gauge stats "g" 1;
+  check_zero "Stats.add_gauge" (words_per_call (fun () -> Sim.Stats.add_gauge stats "g" 1));
+  let h = Sim.Histogram.create () in
+  check_zero "Histogram.observe" (words_per_call (fun () -> Sim.Histogram.observe h 1234))
+
+let test_tlb_miss_alloc_free () =
+  let clock, stats = mk_env () in
+  let trace = Sim.Trace.create ~clock ~capacity:64 () in
+  let tlb = Hw.Tlb.create ~clock ~stats ~trace () in
+  let miss () = ignore (Hw.Tlb.lookup tlb ~asid:1 ~va:(64 * page) ()) in
+  miss ();
+  check_zero "Tlb.lookup miss" (words_per_call miss)
+
+let test_access_tlb_hit_budget () =
+  let k = mk_kernel () in
+  let p = K.create_process k () in
+  let va = K.mmap_anon k p ~len:page ~prot:Hw.Prot.rw ~populate:true in
+  let hit () = K.access k p ~va ~write:true in
+  hit ();
+  check_budget "Kernel.access, TLB hit" ~budget:40 (words_per_call hit)
+
+(* Per page of one call over [pages] pages. *)
+let words_per_page ~pages f =
+  let w0 = words () in
+  f ();
+  (words () -. w0) /. float_of_int pages
+
+let test_first_touch_fault_budget () =
+  let k = mk_kernel () in
+  let p = K.create_process k () in
+  let pages = 256 in
+  let len = pages * page in
+  let va = K.mmap_anon k p ~len ~prot:Hw.Prot.rw ~populate:false in
+  let per_page =
+    words_per_page ~pages (fun () ->
+        ignore (K.access_range k p ~va ~len ~write:true ~stride:page))
+  in
+  check_int "every page faulted" pages (Sim.Stats.get (K.stats k) "page_fault");
+  check_budget "first-touch fault, per page" ~budget:220 per_page
+
+let test_munmap_budget () =
+  let k = mk_kernel () in
+  let p = K.create_process k () in
+  let pages = 256 in
+  let len = pages * page in
+  let va = K.mmap_anon k p ~len ~prot:Hw.Prot.rw ~populate:false in
+  ignore (K.access_range k p ~va ~len ~write:true ~stride:page);
+  let per_page = words_per_page ~pages (fun () -> K.munmap k p ~va ~len) in
+  check_int "every PTE cleared" pages (Sim.Stats.get (K.stats k) "pte_clear");
+  check_budget "munmap, per page" ~budget:25 per_page
+
 let suite =
   [
     Alcotest.test_case "batch: n pages, k VMAs, 1 batch (INVLPG)" `Quick
@@ -246,4 +322,12 @@ let suite =
     prop_range_tlb_vs_linear_model;
     Alcotest.test_case "extent tree: truncate touches only the boundary" `Quick
       test_truncate_boundary_only;
+    Alcotest.test_case "alloc: trace, stats, histogram record 0 words" `Quick
+      test_trace_stats_alloc_free;
+    Alcotest.test_case "alloc: TLB miss 0 words" `Quick test_tlb_miss_alloc_free;
+    Alcotest.test_case "alloc: access on a TLB hit <= 40 words" `Quick
+      test_access_tlb_hit_budget;
+    Alcotest.test_case "alloc: first-touch fault <= 220 words/page" `Quick
+      test_first_touch_fault_budget;
+    Alcotest.test_case "alloc: munmap <= 25 words/page" `Quick test_munmap_budget;
   ]

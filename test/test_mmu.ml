@@ -550,6 +550,103 @@ let prop_pt_unmap_all_prunes =
       List.iter (fun vpn -> PT.unmap_page pt ~va:(vpn * 4096)) vpns;
       PT.node_count pt = 1 && PT.pte_count pt = 0)
 
+(* Differential check of pruning: interleaved maps and unmaps on
+   clustered VAs (so paths share interior nodes) against a reference set
+   of mapped pages, compared after every op. A 4 KiB leaf needs the
+   interior nodes at depths 1..3 named by the VA prefixes above bits 39,
+   30 and 21, so the table must own exactly one root plus one node per
+   distinct prefix among the mapped pages. *)
+let clustered_vpn_gen =
+  QCheck2.Gen.(
+    map
+      (fun (a, b, c, d) -> (((((a * 512) + b) * 512) + c) * 512) + d)
+      (quad (int_bound 1) (int_bound 1) (int_bound 2) (int_bound 7)))
+
+let expected_nodes mapped =
+  let prefixes = Hashtbl.create 16 in
+  List.iter
+    (fun vpn ->
+      let va = vpn * 4096 in
+      List.iter (fun shift -> Hashtbl.replace prefixes (shift, va lsr shift) ()) [ 39; 30; 21 ])
+    mapped;
+  1 + Hashtbl.length prefixes
+
+let pt_agrees pt mapped ~universe =
+  PT.pte_count pt = List.length mapped
+  && PT.node_count pt = expected_nodes mapped
+  && List.for_all
+       (fun vpn ->
+         let va = vpn * 4096 in
+         match (PT.find_leaf pt ~va, PT.lookup pt ~va) with
+         | leaf, Some (pa, leaf') ->
+           List.mem vpn mapped && leaf == leaf' && leaf.PT.pfn = vpn + 1 && pa = (vpn + 1) * 4096
+         | _, None -> false
+         | exception Not_found -> (not (List.mem vpn mapped)) && PT.lookup pt ~va = None)
+       universe
+
+let prop_pt_prune_vs_reference =
+  qtest "page table pruning matches a reference set" ~count:100
+    QCheck2.Gen.(list_size (int_range 1 120) (pair bool clustered_vpn_gen))
+    (fun ops ->
+      let pt, _, _ = mk_page_table () in
+      let universe = List.sort_uniq compare (List.map snd ops) in
+      let mapped = ref [] in
+      List.for_all
+        (fun (map, vpn) ->
+          let va = vpn * 4096 and is_mapped = List.mem vpn !mapped in
+          let legal = map <> is_mapped in
+          let raised =
+            match
+              if map then PT.map_page pt ~va ~pfn:(vpn + 1) ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small
+              else PT.unmap_page pt ~va
+            with
+            | () -> false
+            | exception Invalid_argument _ -> true
+          in
+          if legal then
+            mapped := if map then vpn :: !mapped else List.filter (( <> ) vpn) !mapped;
+          raised = not legal && pt_agrees pt !mapped ~universe)
+        ops)
+
+(* Pages under a node grafted into a second table, unmapped one by one
+   through either table in any order: the shared node and every path to
+   it survive, even once its last leaf is gone, and it still serves both
+   tables afterwards. *)
+let prop_pt_shared_node_survives_unmaps =
+  qtest "unmapping a shared node's last leaf never frees it" ~count:60
+    QCheck2.Gen.(list_size (int_range 1 24) (pair bool (int_bound 511)))
+    (fun picks ->
+      let a, _, stats_a = mk_page_table () in
+      let b, _, stats_b = mk_page_table () in
+      let base = Sim.Units.huge_2m * 3 in
+      let pages = List.sort_uniq compare (List.map snd picks) in
+      List.iter
+        (fun p ->
+          PT.map_page a ~va:(base + (p * 4096)) ~pfn:(p + 1) ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small)
+        pages;
+      PT.share_subtree ~src:a ~src_va:base ~dst:b ~dst_va:base ~depth:3;
+      let nodes_a = PT.node_count a and nodes_b = PT.node_count b in
+      let unmapped = Hashtbl.create 16 in
+      let each_unmap_keeps_nodes =
+        List.for_all
+          (fun (via_a, p) ->
+            if not (Hashtbl.mem unmapped p) then begin
+              Hashtbl.replace unmapped p ();
+              PT.unmap_page (if via_a then a else b) ~va:(base + (p * 4096))
+            end;
+            PT.node_count a = nodes_a
+            && PT.node_count b = nodes_b
+            && PT.is_shared_at b ~va:base ~depth:3
+            && PT.pte_count a = PT.pte_count b)
+          picks
+      in
+      PT.map_page b ~va:base ~pfn:77 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
+      each_unmap_keeps_nodes
+      && PT.pte_count a = 1
+      && (PT.find_leaf a ~va:base).PT.pfn = 77
+      && Sim.Stats.get stats_a "pt_node_free" = 0
+      && Sim.Stats.get stats_b "pt_node_free" = 0)
+
 let prop_tlb_inclusion =
   qtest "whatever the TLB returns matches the page table" ~count:40
     QCheck2.Gen.(list_size (int_range 1 50) (int_bound 2000))
@@ -665,4 +762,6 @@ let suite =
     prop_pt_map_lookup_roundtrip;
     prop_pt_unmap_all_prunes;
     prop_tlb_inclusion;
+    prop_pt_prune_vs_reference;
+    prop_pt_shared_node_survives_unmaps;
   ]

@@ -107,10 +107,6 @@ let test_discard_no_cost () =
 let test_one_byte_frames_stay_small () =
   let frames = 1000 in
   let mem = mk_mem ~dram:(Sim.Units.mib 8) ~nvm:0 () in
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
   let before = words () in
   for pfn = 0 to frames - 1 do
     PM.write_byte mem (Frame.to_addr pfn + 100) 'x'

@@ -135,6 +135,44 @@ let test_json_op_ring_occupancy () =
   check_int "recorded counts wrapped events" 6 (op_field "recorded");
   check_int "in_ring capped at capacity" 4 (op_field "in_ring")
 
+(* The ring is parallel arrays rebuilt into [event] records on read:
+   every field of every retained event must survive the round trip, in
+   [seq] order, across wraparound. *)
+let test_ring_fields_after_wrap () =
+  let capacity = 5 in
+  let tr, clock = mk ~capacity () in
+  let total = capacity + 3 in
+  let expected =
+    List.init total (fun k ->
+        let start = Sim.Clock.now clock in
+        Sim.Clock.charge clock (k + 1);
+        let op = Printf.sprintf "op%d" k and outcome = Printf.sprintf "out%d" k in
+        Sim.Trace.record tr ~op ~start ~arg:(100 + k) ~outcome ~core:(10 + k) ();
+        {
+          Sim.Trace.seq = k;
+          op;
+          core = 10 + k;
+          start;
+          finish = Sim.Clock.now clock;
+          arg = 100 + k;
+          outcome;
+        })
+  in
+  let newest = List.filteri (fun k _ -> k >= total - capacity) expected in
+  check_bool "newest [capacity] events, every field intact, in seq order" true
+    (Sim.Trace.events tr = newest);
+  Sim.Trace.reset tr;
+  check_bool "reset empties the ring" true (Sim.Trace.events tr = []);
+  check_int "reset zeroes recorded" 0 (Sim.Trace.recorded tr);
+  Sim.Trace.record tr ~op:"again" ~start:(Sim.Clock.now clock) ();
+  check_bool "numbering restarts at 0" true
+    (List.map (fun e -> (e.Sim.Trace.seq, e.Sim.Trace.op)) (Sim.Trace.events tr) = [ (0, "again") ])
+
+let test_histogram_stddev_exact () =
+  let h = Sim.Histogram.create () in
+  List.iter (Sim.Histogram.observe h) [ 1; 2; 3; 4 ];
+  check_bool "population stddev of 1..4" true (Sim.Histogram.stddev h = sqrt 1.25)
+
 let suite =
   [
     Alcotest.test_case "trace: create validation" `Quick test_create_validation;
@@ -145,4 +183,6 @@ let suite =
     Alcotest.test_case "trace: JSON well-formed" `Quick test_json_well_formed;
     Alcotest.test_case "trace: JSON events_limit" `Quick test_json_events_limit;
     Alcotest.test_case "trace: JSON op recorded vs in_ring" `Quick test_json_op_ring_occupancy;
+    Alcotest.test_case "trace: ring fields after wraparound" `Quick test_ring_fields_after_wrap;
+    Alcotest.test_case "histogram: stddev exact" `Quick test_histogram_stddev_exact;
   ]
