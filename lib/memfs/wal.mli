@@ -31,11 +31,22 @@ val append : ?durable:bool -> t -> string -> (unit, error) result
     crash tests). Returns [Error Wal_full] when out of space — the log is
     unchanged and the caller decides (checkpoint + {!reset}, or surface
     ENOSPC). The ["wal_partial_flush"] fault-injection site makes the
-    payload flush cover only half the record's bytes. *)
+    payload flush cover only half the record's bytes.
+
+    The header and payload are framed in a scratch buffer the log keeps
+    and reuses, and reach NVM as one write. So an append allocates only
+    the record it keeps in {!entries} (the caller's [payload], not a
+    copy), the scratch buffer when a record outgrows it, and the durable
+    image of a line never flushed before (see {!Physmem.Nvm.flush}). *)
 
 val append_exn : ?durable:bool -> t -> string -> unit
 (** {!append}, raising [Sim.Errno.Error (ENOSPC, _)] when full — for
     callers with no checkpoint story. *)
+
+val checksum : string -> int
+(** The 32-bit checksum the log stores for each payload (Adler-style,
+    never zero: zero marks a blank header). Exposed so that clients can
+    checksum their own data with the same function. *)
 
 val entries : t -> string list
 (** Committed records, oldest first. *)

@@ -5,26 +5,30 @@ type t = {
   unflushed : (int, unit) Hashtbl.t;
   (* Last flushed 64-byte image of every line ever flushed: what the
      media holds. Unflushed stores live only in the (volatile) cache
-     hierarchy, so a crash reverts their lines to this image. *)
-  durable : (int, string) Hashtbl.t;
+     hierarchy, so a crash reverts their lines to this image. A line's
+     buffer is created at its first flush and refilled in place after. *)
+  durable : (int, Bytes.t) Hashtbl.t;
 }
 
 let create mem = { mem; unflushed = Hashtbl.create 64; durable = Hashtbl.create 64 }
 
 let line_of addr = addr / 64
 
-let write_persistent t ~addr s =
-  Phys_mem.write t.mem ~addr s;
-  let len = String.length s in
+let write_persistent_sub t ~addr s ~pos ~len =
+  Phys_mem.write_sub t.mem ~addr s ~pos ~len;
   if len > 0 then
     for line = line_of addr to line_of (addr + len - 1) do
       Hashtbl.replace t.unflushed line ()
     done
 
+let write_persistent t ~addr s = write_persistent_sub t ~addr s ~pos:0 ~len:(String.length s)
+
 let snapshot_line t line =
   let addr = line * 64 in
   if Phys_mem.valid_frame t.mem (Frame.of_addr addr) then
-    Hashtbl.replace t.durable line (Bytes.to_string (Phys_mem.read t.mem ~addr ~len:64))
+    match Hashtbl.find t.durable line with
+    | image -> Phys_mem.read_into t.mem ~addr ~len:64 image ~pos:0
+    | exception Not_found -> Hashtbl.add t.durable line (Phys_mem.read t.mem ~addr ~len:64)
 
 let faults t = Sim.Trace.faults (Phys_mem.trace t.mem)
 
@@ -35,13 +39,10 @@ let corrupt_line t plane line =
   match Hashtbl.find_opt t.durable line with
   | None -> ()
   | Some image ->
-    let i = Sim.Fault_inject.rand_int plane (String.length image) in
+    let i = Sim.Fault_inject.rand_int plane (Bytes.length image) in
     let bit = Sim.Fault_inject.rand_int plane 8 in
-    let b = Bytes.of_string image in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-    let image = Bytes.to_string b in
-    Hashtbl.replace t.durable line image;
-    Phys_mem.restore_range t.mem ~addr:(line * 64) image
+    Bytes.set image i (Char.chr (Char.code (Bytes.get image i) lxor (1 lsl bit)));
+    Phys_mem.restore_range t.mem ~addr:(line * 64) (Bytes.unsafe_to_string image)
 
 let flush t ~addr ~len =
   if len > 0 then begin
@@ -87,7 +88,7 @@ let crash t =
       if Phys_mem.valid_frame t.mem (Frame.of_addr addr) then begin
         Phys_mem.discard_range t.mem ~addr ~len:64;
         match Hashtbl.find_opt t.durable line with
-        | Some image -> Phys_mem.restore_range t.mem ~addr image
+        | Some image -> Phys_mem.restore_range t.mem ~addr (Bytes.unsafe_to_string image)
         | None -> ()
       end)
     t.unflushed;

@@ -230,16 +230,18 @@ let charge_bulk t ~addr ~len ~write =
   end
 
 (* Host work goes frame by frame: [f t x pfn off pos run] for each piece
-   of [addr, addr + len) that stays in one frame, [pos] bytes past
-   [addr]. Passing a top-level [f] and its operand [x] keeps the hot
-   paths free of closure allocation. *)
-let iter_runs f t x ~addr ~len =
+   of [addr, addr + len) that stays in one frame, where [pos] is the
+   piece's offset in the buffer [x]: [src] plus its distance from [addr].
+   Passing a top-level [f] and its operand [x] keeps the hot paths free
+   of closure allocation; [src] is mandatory because an optional
+   argument would allocate its [Some] on every call. *)
+let iter_runs f t x ~src ~addr ~len =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
     let off = Frame.offset_in_frame a in
     let run = min (len - !pos) (Sim.Units.page_size - off) in
-    f t x (Frame.of_addr a) off !pos run;
+    f t x (Frame.of_addr a) off (src + !pos) run;
     pos := !pos + run
   done
 
@@ -253,19 +255,25 @@ let read_run t buf pfn off pos run =
     let lo = max off fr.base and hi = min (off + run) (fr.base + Bytes.length fr.data) in
     if lo < hi then Bytes.blit fr.data (lo - fr.base) buf (pos + lo - off) (hi - lo)
 
-let read_raw t ~addr ~len buf = iter_runs read_run t buf ~addr ~len
+let check_sub what ~pos ~len size =
+  if pos < 0 || len < 0 || pos + len > size then invalid_arg ("Phys_mem." ^ what ^ ": buffer range")
+
+let read_into t ~addr ~len buf ~pos =
+  check_addr t addr len;
+  check_sub "read_into" ~pos ~len (Bytes.length buf);
+  charge_bulk t ~addr ~len ~write:false;
+  iter_runs read_run t buf ~src:pos ~addr ~len
 
 let read t ~addr ~len =
   check_addr t addr len;
-  charge_bulk t ~addr ~len ~write:false;
   let buf = Bytes.create len in
-  read_raw t ~addr ~len buf;
+  read_into t ~addr ~len buf ~pos:0;
   buf
 
 let peek t ~addr ~len =
   check_addr t addr len;
   let buf = Bytes.create len in
-  read_raw t ~addr ~len buf;
+  iter_runs read_run t buf ~src:0 ~addr ~len;
   buf
 
 (* A run with no nonzero byte only clears, so it never creates a buffer. *)
@@ -279,11 +287,13 @@ let store_run t s pfn off pos run =
     Bytes.blit_string s pos fr.data o run
   end
 
-let write t ~addr s =
-  let len = String.length s in
+let write_sub t ~addr s ~pos ~len =
   check_addr t addr len;
+  check_sub "write_sub" ~pos ~len (String.length s);
   charge_bulk t ~addr ~len ~write:true;
-  iter_runs store_run t s ~addr ~len
+  iter_runs store_run t s ~src:pos ~addr ~len
+
+let write t ~addr s = write_sub t ~addr s ~pos:0 ~len:(String.length s)
 
 let touch t addr =
   check_addr t addr 1;
@@ -298,7 +308,7 @@ let zero_frame t pfn =
 
 let discard_range t ~addr ~len =
   check_addr t addr len;
-  iter_runs (fun t () pfn off _ run -> clear t pfn off run) t () ~addr ~len
+  iter_runs (fun t () pfn off _ run -> clear t pfn off run) t () ~src:0 ~addr ~len
 
 let zero_range t ~addr ~len =
   discard_range t ~addr ~len;
@@ -312,7 +322,7 @@ let discard_frame t pfn =
 
 let restore_range t ~addr s =
   check_addr t addr (String.length s);
-  iter_runs store_run t s ~addr ~len:(String.length s)
+  iter_runs store_run t s ~src:0 ~addr ~len:(String.length s)
 
 let frame_is_zero t pfn =
   match frame_table t pfn with None -> true | Some fr -> fr.nonzero = 0

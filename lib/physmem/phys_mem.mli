@@ -81,6 +81,12 @@ val write_byte : t -> int -> char -> unit
 val read : t -> addr:int -> len:int -> bytes
 (** Bulk read; charges one reference per 64-byte cache line covered. *)
 
+val read_into : t -> addr:int -> len:int -> bytes -> pos:int -> unit
+(** [read_into t ~addr ~len buf ~pos] is {!read} into [buf] at [pos]:
+    the same checks and exactly the same charge, but it allocates
+    nothing. Raises [Invalid_argument] if [[pos, pos + len)] is not
+    inside [buf]. *)
+
 val peek : t -> addr:int -> len:int -> bytes
 (** Like {!read} but charges nothing. Only for host-side introspection
     (invariant checkers) and for stand-ins whose real implementation
@@ -90,7 +96,15 @@ val peek : t -> addr:int -> len:int -> bytes
     model data access with [peek]. *)
 
 val write : t -> addr:int -> string -> unit
-(** Bulk write; same charging rule as {!read}. *)
+(** Bulk write; same charging rule as {!read}. [write t ~addr s] is
+    [write_sub t ~addr s ~pos:0 ~len:(String.length s)]. *)
+
+val write_sub : t -> addr:int -> string -> pos:int -> len:int -> unit
+(** [write_sub t ~addr s ~pos ~len] writes [s]'s bytes [[pos, pos + len)]
+    at [addr], charging exactly what {!write} charges for a [len]-byte
+    string. It allocates only a frame buffer that the write creates or
+    promotes. Raises [Invalid_argument] if the range is not inside
+    [s]. *)
 
 val touch : t -> int -> unit
 (** Model a one-off access to [addr] (charges one reference) without

@@ -35,6 +35,8 @@ module FI = Sim.Fault_inject
 let max_key_bytes = 512
 let max_value_bytes = Sim.Units.kib 16
 
+(* [cksum] is the value's {!Fs.Wal.checksum}: a get whose bytes no
+   longer match it raises EIO instead of serving damage. *)
 type slot = { arena : int; off : int; len : int; cksum : int }
 
 type op =
@@ -76,32 +78,23 @@ let plane t = Sim.Trace.faults (trace t)
 let now t = Sim.Clock.now (Os.Kernel.clock (kernel t))
 let pspan t name f = Sim.Trace.prof_span (trace t) name f
 
-(* Same Adler-ish checksum as the WAL's, for value integrity: a get whose
-   bytes no longer match raises EIO instead of serving damage. *)
-let checksum s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
-  let v = (!b lsl 16) lor !a in
-  if v = 0 then 1 else v
-
 (* --- record encoding ----------------------------------------------- *)
 
-let w32 buf v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  Buffer.add_bytes buf b
+(* Each encoder fills one exact-size buffer: [set32]/[setstr] write at
+   [pos] and return the position after what they wrote. *)
+let set32 b pos v =
+  Bytes.set_int32_le b pos (Int32.of_int v);
+  pos + 4
 
-let wstr buf s =
-  w32 buf (String.length s);
-  Buffer.add_string buf s
+let setstr b pos s =
+  let n = String.length s in
+  let pos = set32 b pos n in
+  Bytes.blit_string s 0 b pos n;
+  pos + n
 
 let r32 s pos =
   if !pos + 4 > String.length s then invalid_arg "Store: truncated record";
-  let v = Int32.to_int (Bytes.get_int32_le (Bytes.of_string (String.sub s !pos 4)) 0) land 0xFFFFFFFF in
+  let v = Int32.to_int (String.get_int32_le s !pos) land 0xFFFFFFFF in
   pos := !pos + 4;
   v
 
@@ -120,47 +113,45 @@ type rec_op =
   | R_commit of int
 
 (* Every record opens with [tag; txn id]: replay matches pending ops to
-   their commit record by id, so orphans can never ride a later commit. *)
+   their commit record by id, so orphans can never ride a later commit.
+   [record] makes one of [size] bytes; its body starts at [body]. *)
+let body = 5
+
+let record tag ~id size =
+  let b = Bytes.create size in
+  Bytes.set b 0 tag;
+  ignore (set32 b 1 id);
+  b
+
+let set_slot b pos slot =
+  let pos = set32 b pos slot.arena in
+  let pos = set32 b pos slot.off in
+  let pos = set32 b pos slot.len in
+  set32 b pos slot.cksum
 
 let encode_put ~id k slot v =
-  let b = Buffer.create (String.length k + String.length v + 32) in
-  Buffer.add_char b 'P';
-  w32 b id;
-  wstr b k;
-  w32 b slot.arena;
-  w32 b slot.off;
-  w32 b slot.len;
-  w32 b slot.cksum;
-  Buffer.add_string b v;
-  Buffer.contents b
+  let b = record 'P' ~id (body + 20 + String.length k + String.length v) in
+  let pos = set_slot b (setstr b body k) slot in
+  Bytes.blit_string v 0 b pos (String.length v);
+  Bytes.unsafe_to_string b
 
 let encode_delete ~id k =
-  let b = Buffer.create (String.length k + 12) in
-  Buffer.add_char b 'D';
-  w32 b id;
-  wstr b k;
-  Buffer.contents b
+  let b = record 'D' ~id (body + 4 + String.length k) in
+  ignore (setstr b body k);
+  Bytes.unsafe_to_string b
 
 let encode_set_root ~id r k =
-  let b = Buffer.create (String.length r + String.length k + 16) in
-  Buffer.add_char b 'R';
-  w32 b id;
-  wstr b r;
-  wstr b k;
-  Buffer.contents b
+  let b = record 'R' ~id (body + 8 + String.length r + String.length k) in
+  ignore (setstr b (setstr b body r) k);
+  Bytes.unsafe_to_string b
 
 let encode_clear_root ~id r =
-  let b = Buffer.create (String.length r + 12) in
-  Buffer.add_char b 'C';
-  w32 b id;
-  wstr b r;
-  Buffer.contents b
+  let b = record 'C' ~id (body + 4 + String.length r) in
+  ignore (setstr b body r);
+  Bytes.unsafe_to_string b
 
 let encode_commit id =
-  let b = Buffer.create 8 in
-  Buffer.add_char b 'T';
-  w32 b id;
-  Buffer.contents b
+  Bytes.unsafe_to_string (record 'T' ~id body)
 
 let decode payload =
   if payload = "" then invalid_arg "Store: empty record";
@@ -184,30 +175,29 @@ let decode payload =
   | 'T' -> (id, R_commit id)
   | c -> invalid_arg (Printf.sprintf "Store: unknown record tag %C" c)
 
-(* Snapshot: generation, then the whole index and root table. *)
+(* Snapshot: generation, then the whole index (keys sorted; they are
+   unique, so an in-place array sort gives the list sort's order) and
+   root table. *)
 let encode_snapshot t ~gen =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b 'S';
-  w32 b gen;
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.index [] |> List.sort String.compare in
-  w32 b (List.length keys);
-  List.iter
-    (fun k ->
-      let s = Hashtbl.find t.index k in
-      wstr b k;
-      w32 b s.arena;
-      w32 b s.off;
-      w32 b s.len;
-      w32 b s.cksum)
-    keys;
+  let keys = Array.make (Hashtbl.length t.index) "" in
+  let n = ref 0 in
+  Hashtbl.iter
+    (fun k _ ->
+      keys.(!n) <- k;
+      incr n)
+    t.index;
+  Array.sort String.compare keys;
   let roots = Hashtbl.fold (fun r k acc -> (r, k) :: acc) t.root_tbl [] |> List.sort compare in
-  w32 b (List.length roots);
-  List.iter
-    (fun (r, k) ->
-      wstr b r;
-      wstr b k)
-    roots;
-  Buffer.contents b
+  let size =
+    Array.fold_left (fun acc k -> acc + 20 + String.length k) (body + 8) keys
+    + List.fold_left (fun acc (r, k) -> acc + 8 + String.length r + String.length k) 0 roots
+  in
+  let b = record 'S' ~id:gen size in
+  let pos = ref (set32 b body (Array.length keys)) in
+  Array.iter (fun k -> pos := set_slot b (setstr b !pos k) (Hashtbl.find t.index k)) keys;
+  pos := set32 b !pos (List.length roots);
+  List.iter (fun (r, k) -> pos := setstr b (setstr b !pos r) k) roots;
+  Bytes.unsafe_to_string b
 
 let decode_snapshot payload =
   if payload = "" || payload.[0] <> 'S' then invalid_arg "Store: bad snapshot";
@@ -261,24 +251,53 @@ let phys_chunks t ~arena ~off ~len =
   done;
   List.rev !chunks
 
+(* The physical address of [off, off+len) of an arena when that range
+   is nonempty and lies in one extent, else -1 (use [phys_chunks]). *)
+let extent_addr t ~arena ~off ~len =
+  let r = Heap.Fom_heap.arena_region t.heap arena in
+  let page = Sim.Units.page_size in
+  let exts = Fs.Inode.extents (Fs.Memfs.inode (fs t) r.O1mem.Fom.ino) in
+  match Fs.Extent_tree.find_extent exts ~page:(off / page) with
+  | Some e when len > 0 && off + len <= (e.Fs.Extent.logical + e.Fs.Extent.count) * page ->
+    Physmem.Frame.to_addr e.Fs.Extent.start + off - (e.Fs.Extent.logical * page)
+  | _ -> -1
+
+(* A slot in one extent is one write and one flush. One that spans
+   extents goes chunk by chunk, after [phys_chunks] has validated the
+   whole range. *)
 let write_slot t slot value =
-  let chunks = phys_chunks t ~arena:slot.arena ~off:slot.off ~len:(String.length value) in
-  let pos = ref 0 in
-  List.iter
-    (fun (addr, n) ->
-      Physmem.Nvm.write_persistent t.nvm ~addr (String.sub value !pos n);
-      Physmem.Nvm.flush t.nvm ~addr ~len:n;
-      pos := !pos + n)
-    chunks;
+  let len = String.length value in
+  let addr = extent_addr t ~arena:slot.arena ~off:slot.off ~len in
+  if addr >= 0 then begin
+    Physmem.Nvm.write_persistent t.nvm ~addr value;
+    Physmem.Nvm.flush t.nvm ~addr ~len
+  end
+  else begin
+    let chunks = phys_chunks t ~arena:slot.arena ~off:slot.off ~len in
+    let pos = ref 0 in
+    List.iter
+      (fun (addr, n) ->
+        Physmem.Nvm.write_persistent_sub t.nvm ~addr value ~pos:!pos ~len:n;
+        Physmem.Nvm.flush t.nvm ~addr ~len:n;
+        pos := !pos + n)
+      chunks
+  end;
   Physmem.Nvm.fence t.nvm
 
 let read_slot t slot =
   let mem = Physmem.Nvm.mem t.nvm in
-  let buf = Buffer.create slot.len in
-  List.iter
-    (fun (addr, n) -> Buffer.add_bytes buf (Physmem.Phys_mem.read mem ~addr ~len:n))
-    (phys_chunks t ~arena:slot.arena ~off:slot.off ~len:slot.len);
-  Buffer.contents buf
+  let addr = extent_addr t ~arena:slot.arena ~off:slot.off ~len:slot.len in
+  if addr >= 0 then Bytes.unsafe_to_string (Physmem.Phys_mem.read mem ~addr ~len:slot.len)
+  else begin
+    let buf = Bytes.create slot.len in
+    let pos = ref 0 in
+    List.iter
+      (fun (addr, n) ->
+        Physmem.Phys_mem.read_into mem ~addr ~len:n buf ~pos:!pos;
+        pos := !pos + n)
+      (phys_chunks t ~arena:slot.arena ~off:slot.off ~len:slot.len);
+    Bytes.unsafe_to_string buf
+  end
 
 (* A WAL or manifest file must be one contiguous extent: the journal is
    raw NVM addressed linearly. FOM files are single-extent whenever free
@@ -657,7 +676,7 @@ let commit t =
               | Some x -> x
               | None -> assert false (* values are capped below the large threshold *)
             in
-            let slot = { arena; off; len = String.length v; cksum = checksum v } in
+            let slot = { arena; off; len = String.length v; cksum = Fs.Wal.checksum v } in
             (op, Some slot, encode_put ~id:txn.id k slot v)
           | Delete k -> (op, None, encode_delete ~id:txn.id k)
           | Set_root (r, k) -> (op, None, encode_set_root ~id:txn.id r k)
@@ -731,7 +750,7 @@ let get t key =
   | None -> None
   | Some slot ->
     let v = read_slot t slot in
-    if checksum v <> slot.cksum then begin
+    if Fs.Wal.checksum v <> slot.cksum then begin
       Sim.Stats.incr (stats t) "store_eio";
       Sim.Errno.fail Sim.Errno.EIO (Printf.sprintf "Store.get: checksum mismatch for %S" key)
     end;
@@ -761,7 +780,7 @@ let verify t =
     (fun k slot ->
       match read_slot t slot with
       | v ->
-        if checksum v <> slot.cksum then
+        if Fs.Wal.checksum v <> slot.cksum then
           acc :=
             {
               Os.Check.check = "store_data";

@@ -307,6 +307,90 @@ let test_munmap_budget () =
   check_int "every PTE cleared" pages (Sim.Stats.get (K.stats k) "pte_clear");
   check_budget "munmap, per page" ~budget:25 per_page
 
+(* -------------------- durable-path allocation budgets --------------- *)
+
+let nvm_base mem = Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem)
+
+(* A flush refills the line's durable image in place: once a line has
+   been flushed, writing and flushing it again keeps nothing new but the
+   unflushed-line entry. *)
+let test_nvm_flush_budget () =
+  let mem = mk_mem () in
+  let nvm = Physmem.Nvm.create mem in
+  let addr = nvm_base mem + 128 in
+  let line = String.make 64 'x' in
+  let step () =
+    Physmem.Nvm.write_persistent nvm ~addr line;
+    Physmem.Nvm.flush nvm ~addr ~len:64
+  in
+  step ();
+  check_budget "Nvm.write_persistent + flush, line flushed before" ~budget:10
+    (words_per_call step)
+
+(* The second pass over a log whose lines were all flushed in the first:
+   an append keeps its record and the unflushed-line entries, nothing
+   else. *)
+let test_wal_append_budget () =
+  let mem = mk_mem () in
+  let nvm = Physmem.Nvm.create mem in
+  let n = 200 and payload = String.make 200 'p' in
+  let wal = Fs.Wal.create ~nvm ~base:(nvm_base mem) ~capacity:(n * 256) in
+  let append () = ignore (Fs.Wal.append wal payload) in
+  for _ = 1 to n do
+    append ()
+  done;
+  Fs.Wal.reset wal;
+  check_budget "Wal.append, 200-byte payload" ~budget:50 (words_per_call ~n append);
+  check_int "every append landed" n (Fs.Wal.entry_count wal)
+
+let mk_kv ?manifest_bytes () =
+  let kernel, fom = mk_fom () in
+  let proc = K.create_process kernel () in
+  Store.Kv.create fom proc ?manifest_bytes ~name:"/kv" ()
+
+let test_kv_get_budget () =
+  let st = mk_kv () in
+  let v = String.make 160 'v' in
+  ignore (Store.Kv.begin_txn st);
+  Store.Kv.put st "key" v;
+  Store.Kv.commit st;
+  let get () = ignore (Store.Kv.get st "key") in
+  get ();
+  check_budget "Kv.get, 160-byte value" ~budget:60 (words_per_call get)
+
+let test_kv_commit_budget () =
+  let st = mk_kv () in
+  let v = String.make 160 'v' in
+  let txn () =
+    ignore (Store.Kv.begin_txn st);
+    Store.Kv.put st "key" v;
+    Store.Kv.commit st
+  in
+  txn ();
+  check_budget "begin_txn + put + commit, 160-byte value" ~budget:360
+    (words_per_call ~n:200 txn)
+
+(* A checkpoint writes one snapshot of the whole index: per key it keeps
+   only that key's share of the snapshot record. *)
+let test_kv_checkpoint_budget () =
+  let keys = 4096 in
+  let st = mk_kv ~manifest_bytes:(Sim.Units.mib 1) () in
+  for batch = 0 to (keys / 64) - 1 do
+    ignore (Store.Kv.begin_txn st);
+    for i = 0 to 63 do
+      Store.Kv.put st (Printf.sprintf "key%05d" ((batch * 64) + i)) "value"
+    done;
+    Store.Kv.commit st
+  done;
+  check_int "store holds every key" keys (Store.Kv.object_count st);
+  (* Both manifest halves have been written once. *)
+  Store.Kv.checkpoint st;
+  Store.Kv.checkpoint st;
+  let w0 = words () in
+  Store.Kv.checkpoint st;
+  let per_key = (words () -. w0) /. float_of_int keys in
+  check_budget "Kv.checkpoint, per key of 4096" ~budget:20 per_key
+
 let suite =
   [
     Alcotest.test_case "batch: n pages, k VMAs, 1 batch (INVLPG)" `Quick
@@ -330,4 +414,9 @@ let suite =
     Alcotest.test_case "alloc: first-touch fault <= 220 words/page" `Quick
       test_first_touch_fault_budget;
     Alcotest.test_case "alloc: munmap <= 25 words/page" `Quick test_munmap_budget;
+    Alcotest.test_case "alloc: NVM rewrite + flush <= 10 words" `Quick test_nvm_flush_budget;
+    Alcotest.test_case "alloc: WAL append <= 50 words" `Quick test_wal_append_budget;
+    Alcotest.test_case "alloc: store get <= 60 words" `Quick test_kv_get_budget;
+    Alcotest.test_case "alloc: store put transaction <= 360 words" `Quick test_kv_commit_budget;
+    Alcotest.test_case "alloc: store checkpoint <= 20 words/key" `Quick test_kv_checkpoint_budget;
   ]

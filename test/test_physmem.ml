@@ -184,6 +184,150 @@ let test_nvm_torn_write () =
   check_string "unflushed data torn" (String.make 4 '\000')
     (Bytes.to_string (PM.read mem ~addr ~len:4))
 
+(* A line flushed again and again keeps one image buffer, refilled at
+   each flush: a crash reverts to the latest flushed contents, and the
+   image outlives the crash. *)
+let test_nvm_reflush_latest_image () =
+  let mem = mk_mem ~dram:(Sim.Units.mib 4) ~nvm:(Sim.Units.mib 4) () in
+  let nvm = Physmem.Nvm.create mem in
+  let addr = Frame.to_addr 1024 in
+  let store s ~flush =
+    Physmem.Nvm.write_persistent nvm ~addr s;
+    if flush then Physmem.Nvm.flush nvm ~addr ~len:(String.length s)
+  in
+  store "first" ~flush:true;
+  store "second" ~flush:true;
+  store "third!" ~flush:false;
+  Physmem.Nvm.crash nvm;
+  check_string "latest flushed image" "second" (Bytes.to_string (PM.peek mem ~addr ~len:6));
+  store "fourth" ~flush:false;
+  Physmem.Nvm.crash nvm;
+  check_string "image survives a crash" "second" (Bytes.to_string (PM.peek mem ~addr ~len:6))
+
+(* [read_into] and [write_sub] charge exactly what [read] and [write]
+   charge for the same range, and touch only their buffer range. *)
+let test_sub_ranges_charge_alike () =
+  let addr = Frame.to_addr 3 - 100 and s = String.init 300 (fun i -> Char.chr (65 + (i mod 26))) in
+  (* Clock and counters after [f] on a fresh machine holding [s] at [addr]. *)
+  let charged f =
+    let mem = mk_mem () in
+    PM.restore_range mem ~addr s;
+    f mem;
+    (Sim.Clock.now (PM.clock mem), Sim.Stats.to_json (PM.stats mem))
+  in
+  check_bool "write_sub charges as write" true
+    (charged (fun mem -> PM.write mem ~addr (String.sub s 20 200))
+    = charged (fun mem -> PM.write_sub mem ~addr s ~pos:20 ~len:200));
+  let buf = Bytes.make 260 '.' in
+  check_bool "read_into charges as read" true
+    (charged (fun mem -> ignore (PM.read mem ~addr ~len:200))
+    = charged (fun mem -> PM.read_into mem ~addr ~len:200 buf ~pos:30));
+  check_string "read_into fills only its range"
+    (String.make 30 '.' ^ String.sub s 0 200 ^ String.make 30 '.')
+    (Bytes.to_string buf);
+  let mem = mk_mem () in
+  PM.write_sub mem ~addr s ~pos:20 ~len:200;
+  check_string "write_sub stores its range" (String.sub s 20 200)
+    (Bytes.to_string (PM.peek mem ~addr ~len:200));
+  check_string "nothing past it" "\000" (Bytes.to_string (PM.peek mem ~addr:(addr + 200) ~len:1));
+  Alcotest.check_raises "read_into past the buffer"
+    (Invalid_argument "Phys_mem.read_into: buffer range") (fun () ->
+      PM.read_into mem ~addr ~len:200 buf ~pos:61);
+  Alcotest.check_raises "write_sub past the string"
+    (Invalid_argument "Phys_mem.write_sub: buffer range") (fun () ->
+      PM.write_sub mem ~addr s ~pos:101 ~len:200)
+
+(* Differential check of [Nvm] against a reference model: the current
+   bytes of an NVM window plus each line's last flushed 64-byte image.
+   The window straddles a frame boundary; writes straddle lines and
+   include zero runs, flushes cover partial ranges, and a small window
+   makes the same line flush again and again with new contents. *)
+
+let nvm_lines = 8
+let nvm_window = nvm_lines * 64
+
+type nvm_op = N_write of int * string | N_flush of int * int | N_crash
+
+let show_nvm_op = function
+  | N_write (o, s) -> Printf.sprintf "write %d %S" o s
+  | N_flush (o, n) -> Printf.sprintf "flush %d %d" o n
+  | N_crash -> "crash"
+
+let nvm_op_gen =
+  let open QCheck2.Gen in
+  let off = oneof [ oneofl [ 0; 63; 64; 255; 256; nvm_window - 1 ]; int_bound (nvm_window - 1) ] in
+  let run = map2 (fun o n -> (o, min n (nvm_window - o))) off (int_range 1 150) in
+  (* All zeros, or letters with every fifth byte zero. *)
+  let text =
+    map2
+      (fun (o, n) k ->
+        let c i =
+          if k = 0 || (i + k) mod 5 = 0 then '\000' else Char.chr (97 + (((3 * i) + k) mod 26))
+        in
+        (o, String.init n c))
+      run (int_bound 7)
+  in
+  frequency
+    [
+      (4, map (fun (o, s) -> N_write (o, s)) text);
+      (3, map (fun (o, n) -> N_flush (o, n)) run);
+      (1, pure N_crash);
+    ]
+
+type nvm_model = { cur : Bytes.t; image : string option array; dirty : bool array }
+
+let lines_of o n f =
+  for l = o / 64 to (o + n - 1) / 64 do
+    f l
+  done
+
+let nvm_apply nvm base m = function
+  | N_write (o, s) ->
+    Physmem.Nvm.write_persistent nvm ~addr:(base + o) s;
+    Bytes.blit_string s 0 m.cur o (String.length s);
+    lines_of o (String.length s) (fun l -> m.dirty.(l) <- true)
+  | N_flush (o, n) ->
+    Physmem.Nvm.flush nvm ~addr:(base + o) ~len:n;
+    lines_of o n (fun l ->
+        if m.dirty.(l) then begin
+          m.image.(l) <- Some (Bytes.sub_string m.cur (l * 64) 64);
+          m.dirty.(l) <- false
+        end)
+  | N_crash ->
+    Physmem.Nvm.crash nvm;
+    Array.iteri
+      (fun l d ->
+        if d then
+          Bytes.blit_string
+            (Option.value m.image.(l) ~default:(String.make 64 '\000'))
+            0 m.cur (l * 64) 64;
+        m.dirty.(l) <- false)
+      m.dirty
+
+let prop_nvm_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"nvm == reference model under generated ops"
+       ~print:(fun ops -> String.concat "; " (List.map show_nvm_op ops))
+       QCheck2.Gen.(list_size (int_range 1 40) nvm_op_gen)
+       (fun ops ->
+         let mem = mk_mem ~dram:(Sim.Units.mib 1) ~nvm:(Sim.Units.mib 1) () in
+         let nvm = Physmem.Nvm.create mem in
+         let base = Frame.to_addr (PM.dram_frames mem + 1) - 256 in
+         let m =
+           {
+             cur = Bytes.make nvm_window '\000';
+             image = Array.make nvm_lines None;
+             dirty = Array.make nvm_lines false;
+           }
+         in
+         List.for_all
+           (fun op ->
+             nvm_apply nvm base m op;
+             Bytes.equal (PM.peek mem ~addr:base ~len:nvm_window) m.cur
+             && Physmem.Nvm.unflushed_lines nvm
+                = Array.fold_left (fun n d -> if d then n + 1 else n) 0 m.dirty)
+           ops))
+
 (* Cache hierarchy *)
 
 let mk_cached_mem () =
@@ -485,6 +629,10 @@ let suite =
     Alcotest.test_case "zero_engine: bulk erase is O(1)" `Quick test_bulk_erase_constant_cost;
     Alcotest.test_case "nvm: flush+fence durability" `Quick test_nvm_flush_fence;
     Alcotest.test_case "nvm: torn unflushed write" `Quick test_nvm_torn_write;
+    Alcotest.test_case "nvm: re-flush keeps the latest image" `Quick test_nvm_reflush_latest_image;
+    Alcotest.test_case "phys_mem: sub-range read/write charge alike" `Quick
+      test_sub_ranges_charge_alike;
+    prop_nvm_differential;
     Alcotest.test_case "cache: miss then hit" `Quick test_cache_hit_after_miss;
     Alcotest.test_case "cache: line granularity" `Quick test_cache_same_line_shares;
     Alcotest.test_case "cache: L1 spill caught by L2" `Quick test_cache_capacity_spill_to_l2;
