@@ -42,44 +42,42 @@ let in_range t pfn = pfn >= t.first && pfn < t.first + t.count
 
 let buddy_of t pfn ~order = t.first + ((pfn - t.first) lxor (1 lsl order))
 
+(* The smallest order >= [order] with a free block, or -1. *)
 let rec find_order t order =
-  if order > t.max_order then None
-  else if Hashtbl.length t.free.(order) > 0 then Some order
+  if order > t.max_order then -1
+  else if Hashtbl.length t.free.(order) > 0 then order
   else find_order t (order + 1)
 
+(* Deterministic choice: smallest start frame, keeping layouts stable.
+   The fold carries a bare int, so the scan allocates nothing per free
+   block; [tbl] is never empty here, so [max_int] never survives it. *)
 let pop_any tbl =
-  (* Deterministic choice: smallest start frame, keeping layouts stable. *)
-  let best = Hashtbl.fold (fun k () acc -> match acc with None -> Some k | Some b -> Some (min b k)) tbl None in
-  match best with
-  | None -> None
-  | Some k ->
-    Hashtbl.remove tbl k;
-    Some k
+  let k = Hashtbl.fold (fun k () best -> if k < best then k else best) tbl max_int in
+  Hashtbl.remove tbl k;
+  k
+
+(* Split the order-[k] block at [pfn] down to [order], freeing the upper
+   halves. *)
+let rec split t pfn k ~order =
+  if k > order then begin
+    let k = k - 1 in
+    Hashtbl.replace t.free.(k) (pfn + (1 lsl k)) ();
+    Sim.Stats.incr (stats t) "buddy_split";
+    charge t 40;
+    split t pfn k ~order
+  end
 
 let alloc t ~order =
   if order < 0 || order > t.max_order then invalid_arg "Buddy.alloc: bad order";
   charge t (model t).Sim.Cost_model.frame_alloc;
-  match find_order t order with
-  | None -> None
-  | Some avail ->
-    let pfn =
-      match pop_any t.free.(avail) with Some p -> p | None -> assert false
-    in
-    (* Split down to the requested order, freeing the upper halves. *)
-    let rec split pfn k =
-      if k = order then pfn
-      else begin
-        let k = k - 1 in
-        let upper = pfn + (1 lsl k) in
-        Hashtbl.replace t.free.(k) upper ();
-        Sim.Stats.incr (stats t) "buddy_split";
-        charge t 40;
-        split pfn k
-      end
-    in
-    let pfn = split pfn avail in
+  let avail = find_order t order in
+  if avail < 0 then None
+  else begin
+    let pfn = pop_any t.free.(avail) in
+    split t pfn avail ~order;
     t.free_frames <- t.free_frames - (1 lsl order);
     Some pfn
+  end
 
 let rec insert_and_merge t pfn order =
   if t.merge && order < t.max_order then begin

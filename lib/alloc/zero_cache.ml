@@ -54,11 +54,12 @@ let put t ~order frame =
 let refill t ~budget_frames =
   let zeroed = Physmem.Zero_engine.background_step t.engine ~budget_frames in
   let rec drain n =
-    match Physmem.Zero_engine.take_zeroed t.engine with
-    | Some frame ->
+    let frame = Physmem.Zero_engine.take_zeroed t.engine in
+    if frame = Physmem.Zero_engine.no_frame then n
+    else begin
       Queue.push frame t.queues.(0);
       drain (n + 1)
-    | None -> n
+    end
   in
   depth_delta t (drain 0);
   zeroed

@@ -167,7 +167,7 @@ let create_file t path ~persistence =
     (Printf.sprintf "create %s %c" path
        (match persistence with Inode.Persistent -> 'P' | Inode.Volatile -> 'V'));
   Sim.Stats.incr (stats t) "fs_create";
-  Sim.Trace.record (trace t) ~op:"fs_create" ~start ();
+  Sim.Trace.record (trace t) ~op:"fs_create" ~start ~arg:0 ();
   ino
 
 (* Returning frames: under Background_zero they enter the dirty queue so
@@ -178,7 +178,7 @@ let release_extent t ~first ~count =
   Quota.release t.quota ~frames:count;
   match t.erase with
   | Eager_zero -> () (* zeroed lazily, at the next extend *)
-  | Background_zero -> Physmem.Zero_engine.put_dirty t.zero (List.init count (fun i -> first + i))
+  | Background_zero -> Physmem.Zero_engine.put_dirty_range t.zero ~first ~count
   | Device_erase -> Physmem.Zero_engine.bulk_erase t.zero ~first ~count
 
 let free_file_frames t node =
@@ -318,13 +318,12 @@ let extend t ino ~bytes_wanted =
                covered by the pool must still be zeroed now. The pool is
                an overlay: we only count how many handouts it can cover. *)
             let covered = ref 0 in
-            let rec drain n =
-              if n > 0 then
-                match Physmem.Zero_engine.take_zeroed t.zero with
-                | Some _ -> (incr covered; drain (n - 1))
-                | None -> ()
-            in
-            drain count;
+            while
+              !covered < count
+              && Physmem.Zero_engine.take_zeroed t.zero <> Physmem.Zero_engine.no_frame
+            do
+              incr covered
+            done;
             Sim.Stats.add (stats t) "zero_cache_hit" !covered;
             Sim.Stats.add (stats t) "zero_cache_miss" (count - !covered);
             for pfn = first to first + count - 1 - !covered do

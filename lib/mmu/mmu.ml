@@ -73,15 +73,16 @@ let protection = -2
 
 let translate_pa t ~va ~write ~exec =
   let c = local t in
-  match Tlb.lookup c.Smp.tlb ~asid:t.asid ~va () with
-  | Some (pfn, prot, size) ->
-    if check_prot prot ~write ~exec then begin
+  let s = Tlb.lookup c.Smp.tlb ~asid:t.asid ~va in
+  if s != Tlb.no_slot then begin
+    if check_prot s.Tlb.prot ~write ~exec then begin
+      let pa = Physmem.Frame.to_addr s.Tlb.pfn + (va land (Page_size.bytes s.Tlb.size - 1)) in
       note_access t ~va ~write;
-      let off = va land (Page_size.bytes size - 1) in
-      Physmem.Frame.to_addr pfn + off
+      pa
     end
     else protection
-  | None -> (
+  end
+  else begin
     let via_range_tlb =
       match t.range_table with
       | Some _ -> Range_tlb.lookup c.Smp.range_tlb ~asid:t.asid ~va ()
@@ -108,17 +109,19 @@ let translate_pa t ~va ~write ~exec =
         else protection
       | None -> (
         match
-          Walker.walk ~trace:t.trace ~clock:t.clock ~stats:t.stats ~table:t.table ~mode:t.mode
-            ~va ()
+          Walker.walk ~trace:t.trace ~clock:t.clock ~stats:t.stats ~table:t.table ~mode:t.mode ~va
         with
-        | None -> not_mapped
-        | Some (pa, leaf) ->
+        | exception Not_found -> not_mapped
+        | leaf ->
           if write then leaf.Page_table.dirty <- true;
-          Tlb.insert c.Smp.tlb ~asid:t.asid
-            ~va:(Sim.Units.round_down va ~align:(Page_size.bytes leaf.Page_table.size))
-            ~pfn:leaf.Page_table.pfn ~prot:leaf.Page_table.prot ~size:leaf.Page_table.size ();
+          let span = Page_size.bytes leaf.Page_table.size in
+          Tlb.insert c.Smp.tlb ~asid:t.asid ~va:(Sim.Units.round_down va ~align:span)
+            ~pfn:leaf.Page_table.pfn ~prot:leaf.Page_table.prot ~size:leaf.Page_table.size;
           mark_cached t;
-          if check_prot leaf.Page_table.prot ~write ~exec then pa else protection)))
+          if check_prot leaf.Page_table.prot ~write ~exec then
+            Physmem.Frame.to_addr leaf.Page_table.pfn + (va land (span - 1))
+          else protection))
+  end
 
 let error_of code = if code = not_mapped then Error Not_mapped else Error Protection
 
@@ -172,7 +175,7 @@ let ipi_round t f =
            ack edge — so [ipi_acked < ipi_received] is visible from the
            graph alone. *)
         Sim.Stats.incr t.stats "tlb_ack_lost";
-        Sim.Trace.record t.trace ~op:"ipi" ~start ~outcome:"ack_lost" ~core:t.core ()
+        Sim.Trace.record t.trace ~op:"ipi" ~start ~arg:0 ~outcome:"ack_lost" ~core:t.core ()
       end
       else begin
         f dst;
@@ -180,7 +183,7 @@ let ipi_round t f =
         Sim.Stats.incr t.stats "ipi_acked";
         let ack = Sim.Causal.emit causal ~core:t.core ~op:"ipi_ack" () in
         Sim.Causal.link causal ~src:deliver ~dst:ack ~kind:"ack";
-        Sim.Trace.record t.trace ~op:"ipi" ~start ~outcome:"acked" ~core:t.core ()
+        Sim.Trace.record t.trace ~op:"ipi" ~start ~arg:0 ~outcome:"acked" ~core:t.core ()
       end;
       let cycles = Sim.Clock.now t.clock - start in
       Sim.Causal.observe_ipi causal ~src:t.core ~dst:r ~cycles;

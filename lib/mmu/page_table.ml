@@ -179,13 +179,6 @@ let lookup t ~va =
   | leaf -> Some (Frame.to_addr leaf.pfn + (va land (Page_size.bytes leaf.size - 1)), leaf)
   | exception Not_found -> None
 
-(* Every leaf sits in the node [map_page] placed it in, which its size
-   alone determines. *)
-let leaf_depth t ~va =
-  match find_leaf t ~va with
-  | leaf -> Some (leaf_node_depth t leaf.size)
-  | exception Not_found -> None
-
 let unmap_range t ~va ~len =
   check_va t va;
   if len <= 0 then 0

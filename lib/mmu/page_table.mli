@@ -74,9 +74,10 @@ val lookup : t -> va:int -> (int * leaf) option
 (** Software lookup (no hardware cost): physical address + leaf. Built
     on {!find_leaf}. *)
 
-val leaf_depth : t -> va:int -> int option
-(** Depth of the node holding [va]'s leaf, for walk-cost computation.
-    Built on {!find_leaf}: a leaf's size fixes its depth. *)
+val leaf_node_depth : t -> Page_size.t -> int
+(** Depth (root = 0) of the node holding a leaf of this size. Every leaf
+    sits where {!map_page} put it, which its size alone determines, so
+    the walker prices a walk from {!find_leaf}'s result. *)
 
 val share_subtree : src:t -> src_va:int -> dst:t -> dst_va:int -> depth:int -> unit
 (** Graft the [src] subtree under the entry at [depth] covering [src_va]

@@ -16,7 +16,7 @@ let charge_op t ~op =
   let start = Sim.Clock.now t.clock in
   Sim.Clock.charge t.clock (model t).Sim.Cost_model.range_table_op;
   Sim.Stats.incr t.stats "range_table_op";
-  Sim.Trace.record t.trace ~op ~start ()
+  Sim.Trace.record t.trace ~op ~start ~arg:0 ()
 
 let overlaps t ~base ~limit =
   (match Btree.find_last_leq t.entries ~key:base with

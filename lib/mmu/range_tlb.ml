@@ -68,7 +68,7 @@ let lookup t ?(asid = 0) ~va () =
   (match hit with
   | Some _ -> Sim.Stats.incr t.stats "range_tlb_hit"
   | None -> Sim.Stats.incr t.stats "range_tlb_miss");
-  Sim.Trace.record t.trace ~op:"range_tlb_lookup" ~start
+  Sim.Trace.record t.trace ~op:"range_tlb_lookup" ~start ~arg:0
     ~outcome:(match hit with Some _ -> "hit" | None -> "miss")
     ();
   hit

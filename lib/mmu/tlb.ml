@@ -72,8 +72,9 @@ let set_of t va size =
   let vpn = va / Page_size.bytes size in
   (vpn lxor (Page_size.bytes size lsr 12)) land (t.sets - 1)
 
-(* Returned by [find_slot] when nothing matches, instead of an option
-   that would allocate on every hit. Never valid, never stored. *)
+(* Returned by [find_slot] and [lookup] when nothing matches, instead of
+   an option that would allocate on every hit. Never valid, never
+   stored. *)
 let no_slot =
   { valid = false; asid = 0; tag = 0; size = Page_size.Small; pfn = 0; prot = Prot.r; used = 0 }
 
@@ -102,41 +103,39 @@ let lookup_unprofiled t ~asid ~va =
   if s != no_slot then begin
     s.used <- touch t;
     Sim.Stats.incr t.stats "tlb_hit";
-    Sim.Trace.record t.trace ~op:"tlb_lookup" ~start ~outcome:"hit" ();
-    Some (s.pfn, s.prot, s.size)
+    Sim.Trace.record t.trace ~op:"tlb_lookup" ~start ~arg:0 ~outcome:"hit" ()
   end
   else begin
     Sim.Stats.incr t.stats "tlb_miss";
-    Sim.Trace.record t.trace ~op:"tlb_lookup" ~start ~outcome:"miss" ();
-    None
-  end
+    Sim.Trace.record t.trace ~op:"tlb_lookup" ~start ~arg:0 ~outcome:"miss" ()
+  end;
+  s
 
 (* The span closure is built only when a profiler is attached. *)
-let lookup t ?(asid = 0) ~va () =
+let lookup t ~asid ~va =
   if Sim.Profile.enabled (Sim.Trace.profile t.trace) then
     pspan t "tlb_lookup" (fun () -> lookup_unprofiled t ~asid ~va)
   else lookup_unprofiled t ~asid ~va
 
-let insert t ?(asid = 0) ~va ~pfn ~prot ~size () =
+(* The slot to fill: the one already holding this page, else the first
+   invalid slot, else the LRU one. *)
+let rec victim set ~asid ~tag size i best =
+  if i = Array.length set then best
+  else
+    let s = set.(i) in
+    if s.valid && s.asid = asid && s.tag = tag && s.size = size then s
+    else
+      let best =
+        if not s.valid then if best.valid then s else best
+        else if best.valid && s.used < best.used then s
+        else best
+      in
+      victim set ~asid ~tag size (i + 1) best
+
+let insert t ~asid ~va ~pfn ~prot ~size =
   let set = t.data.(set_of t va size) in
   let tag = tag_of va size in
-  (* Reuse a matching or invalid slot; otherwise evict the LRU slot. *)
-  let victim = ref set.(0) in
-  let exception Found in
-  (try
-     for i = 0 to t.ways - 1 do
-       let s = set.(i) in
-       if s.valid && s.asid = asid && s.tag = tag && s.size = size then begin
-         victim := s;
-         raise Found
-       end;
-       if not s.valid then begin
-         if !victim.valid then victim := s
-       end
-       else if !victim.valid && s.used < !victim.used then victim := s
-     done
-   with Found -> ());
-  let s = !victim in
+  let s = victim set ~asid ~tag size 0 set.(0) in
   if s.valid && not (s.asid = asid && s.tag = tag && s.size = size) then
     Sim.Stats.incr t.stats "tlb_evictions";
   if not s.valid then gauge_delta t 1;

@@ -24,16 +24,41 @@ val create :
 
 val capacity : t -> int
 
-val lookup : t -> ?asid:int -> va:int -> unit -> (Physmem.Frame.t * Prot.t * Page_size.t) option
+type slot = private {
+  mutable valid : bool;
+  mutable asid : int;
+  mutable tag : int;  (** VA with the in-page bits of [size] cleared *)
+  mutable size : Page_size.t;
+  mutable pfn : Physmem.Frame.t;
+  mutable prot : Prot.t;
+  mutable used : int;  (** LRU tick of the last touch *)
+}
+(** One way of one set: the TLB's own storage, readable but not writable
+    from outside. A slot is reused by later fills and invalidations, so
+    read what you need from it before the next call that changes this
+    TLB. *)
+
+val no_slot : slot
+(** What {!lookup} returns on a miss; compare with [==]. Never valid and
+    never stored in a set. *)
+
+val lookup : t -> asid:int -> va:int -> slot
 (** Probe; charges the hit cost and bumps "tlb_hit" on success or
     "tlb_miss" on failure (no walk is performed — callers decide how to
-    refill, see {!Mmu}). *)
+    refill, see {!Mmu}). Returns the matching slot, or {!no_slot} on a
+    miss. Allocates nothing, hit or miss, unless a profiler is attached
+    to the trace (then its "tlb_lookup" span). *)
 
 val insert :
-  t -> ?asid:int -> va:int -> pfn:Physmem.Frame.t -> prot:Prot.t -> size:Page_size.t -> unit -> unit
+  t -> asid:int -> va:int -> pfn:Physmem.Frame.t -> prot:Prot.t -> size:Page_size.t -> unit
 (** Fill after a walk, evicting the set's LRU entry if full. Each
     eviction of a live entry bumps "tlb_evictions"; re-filling an
-    already-resident page or taking a free slot does not. *)
+    already-resident page or taking a free slot does not. Allocates
+    nothing.
+
+    [asid] is a required argument of {!lookup} and [insert], the two
+    per-access entry points: an optional one would cost a [Some] cell
+    per call. *)
 
 val invalidate_page : t -> ?asid:int -> va:int -> unit -> unit
 (** Drop any entry of [asid] covering [va] (all page sizes probed);

@@ -15,17 +15,21 @@ val refs_for_walk : guest_levels:int -> leaf_depth:int -> mode:mode -> int
     native references). *)
 
 val walk :
-  ?trace:Sim.Trace.t ->
+  trace:Sim.Trace.t ->
   clock:Sim.Clock.t ->
   stats:Sim.Stats.t ->
   table:Page_table.t ->
   mode:mode ->
   va:int ->
-  unit ->
-  (int * Page_table.leaf) option
-(** Resolve [va]. Charges one full DRAM reference for the leaf PTE and a
-    cache-hit cost for each upper-level access (modelling page-walk
-    caches); bumps "walk_refs" by the raw reference count. Sets the
-    leaf's accessed bit. [None] for an unmapped address (the walk cost is
-    still charged — the hardware walked to find the hole). [trace]
-    records a "page_walk" event with the reference count as [arg]. *)
+  Page_table.leaf
+(** Resolve [va] to its leaf, in one descent of the table. Charges one
+    full DRAM reference for the leaf PTE and a cache-hit cost for each
+    upper-level access (modelling page-walk caches); bumps "walk_refs"
+    by the raw reference count. Sets the leaf's accessed bit. Raises
+    [Not_found] for an unmapped address, after charging the walk to the
+    hole (the hardware walked every level to find it). [trace] records
+    a "page_walk" event with the reference count as [arg] (pass
+    {!Sim.Trace.disabled} for none: [trace] is required because an
+    optional argument would cost a [Some] cell per walk). Allocates
+    nothing, leaf or hole, unless a profiler is attached to [trace]
+    (then its "page_walk" span). *)

@@ -134,7 +134,14 @@ let lines_covered ~addr ~len =
     let first = addr / 64 and last = (addr + len - 1) / 64 in
     last - first + 1
 
-let frame_table t pfn = Hashtbl.find_opt t.contents pfn
+(* What [frame_table] returns for a frame with no buffer: it covers no
+   offset and counts no nonzero byte. Never stored. *)
+let no_store = { data = Bytes.empty; base = 0; nonzero = 0 }
+
+(* [pfn]'s buffer or [no_store]; unlike [Hashtbl.find_opt], no option is
+   allocated per access. *)
+let frame_table t pfn =
+  match Hashtbl.find t.contents pfn with fr -> fr | exception Not_found -> no_store
 
 (* Whether [fr]'s buffer holds frame offsets [off, off + len). *)
 let covers fr off len = off >= fr.base && off + len <= fr.base + Bytes.length fr.data
@@ -149,28 +156,21 @@ let count_nonzero s pos len =
 (* Zero frame offsets [off, off + len) of [pfn]; a buffer left with no
    nonzero byte is dropped. *)
 let clear t pfn off len =
-  match frame_table t pfn with
-  | None -> ()
-  | Some fr ->
+  let fr = frame_table t pfn in
+  if fr != no_store then begin
     let lo = max off fr.base and hi = min (off + len) (fr.base + Bytes.length fr.data) in
     if lo < hi then begin
       fr.nonzero <- fr.nonzero - count_nonzero (Bytes.unsafe_to_string fr.data) (lo - fr.base) (hi - lo);
       if fr.nonzero = 0 then Hashtbl.remove t.contents pfn
       else Bytes.fill fr.data (lo - fr.base) (hi - lo) '\000'
     end
+  end
 
 (* [pfn]'s buffer, created (one line if the run fits in one, else a page)
    or promoted to a page so that it holds frame offsets [off, off + len). *)
 let cover t pfn off len =
-  match frame_table t pfn with
-  | Some fr when covers fr off len -> fr
-  | Some fr ->
-    let page = Bytes.make Sim.Units.page_size '\000' in
-    Bytes.blit fr.data 0 page fr.base line;
-    fr.data <- page;
-    fr.base <- 0;
-    fr
-  | None ->
+  let fr = frame_table t pfn in
+  if fr == no_store then begin
     let base = off land lnot (line - 1) in
     let fr =
       if off + len <= base + line then { data = Bytes.make line '\000'; base; nonzero = 0 }
@@ -178,12 +178,20 @@ let cover t pfn off len =
     in
     Hashtbl.add t.contents pfn fr;
     fr
+  end
+  else if covers fr off len then fr
+  else begin
+    let page = Bytes.make Sim.Units.page_size '\000' in
+    Bytes.blit fr.data 0 page fr.base line;
+    fr.data <- page;
+    fr.base <- 0;
+    fr
+  end
 
 let peek_byte t addr =
   let off = Frame.offset_in_frame addr in
-  match frame_table t (Frame.of_addr addr) with
-  | Some fr when covers fr off 1 -> Bytes.get fr.data (off - fr.base)
-  | _ -> '\000'
+  let fr = frame_table t (Frame.of_addr addr) in
+  if covers fr off 1 then Bytes.get fr.data (off - fr.base) else '\000'
 
 let poke_byte t addr c =
   let pfn = Frame.of_addr addr and off = Frame.offset_in_frame addr in
@@ -246,14 +254,15 @@ let iter_runs f t x ~src ~addr ~len =
   done
 
 let read_run t buf pfn off pos run =
-  match frame_table t pfn with
-  | Some fr when covers fr off run -> Bytes.blit fr.data (off - fr.base) buf pos run
-  | None -> Bytes.fill buf pos run '\000'
-  | Some fr ->
+  let fr = frame_table t pfn in
+  if fr == no_store then Bytes.fill buf pos run '\000'
+  else if covers fr off run then Bytes.blit fr.data (off - fr.base) buf pos run
+  else begin
     (* A line buffer holding part of the run, or none of it. *)
     Bytes.fill buf pos run '\000';
     let lo = max off fr.base and hi = min (off + run) (fr.base + Bytes.length fr.data) in
     if lo < hi then Bytes.blit fr.data (lo - fr.base) buf (pos + lo - off) (hi - lo)
+  end
 
 let check_sub what ~pos ~len size =
   if pos < 0 || len < 0 || pos + len > size then invalid_arg ("Phys_mem." ^ what ^ ": buffer range")
@@ -324,8 +333,7 @@ let restore_range t ~addr s =
   check_addr t addr (String.length s);
   iter_runs store_run t s ~src:0 ~addr ~len:(String.length s)
 
-let frame_is_zero t pfn =
-  match frame_table t pfn with None -> true | Some fr -> fr.nonzero = 0
+let frame_is_zero t pfn = (frame_table t pfn).nonzero = 0
 
 let crash t =
   Hashtbl.filter_map_inplace (fun pfn fr -> if pfn < t.dram_frames then None else Some fr) t.contents

@@ -1,30 +1,70 @@
-type t = { mem : Phys_mem.t; dirty : Frame.t Queue.t; zeroed : Frame.t Queue.t }
+(* A growable FIFO of frames in one int array (power-of-two capacity):
+   push and pop allocate nothing once the array has reached the queue's
+   high-water mark. *)
+type ring = { mutable buf : Frame.t array; mutable head : int; mutable len : int }
+
+let ring () = { buf = Array.make 16 0; head = 0; len = 0 }
+
+let push r pfn =
+  let cap = Array.length r.buf in
+  if r.len = cap then begin
+    let buf = Array.make (2 * cap) 0 in
+    for i = 0 to r.len - 1 do
+      buf.(i) <- r.buf.((r.head + i) land (cap - 1))
+    done;
+    r.buf <- buf;
+    r.head <- 0
+  end;
+  r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- pfn;
+  r.len <- r.len + 1
+
+(* The caller checks [len > 0]. *)
+let pop r =
+  let pfn = r.buf.(r.head) in
+  r.head <- (r.head + 1) land (Array.length r.buf - 1);
+  r.len <- r.len - 1;
+  pfn
+
+type t = { mem : Phys_mem.t; dirty : ring; zeroed : ring }
 
 (* One erase command is modelled as a fixed device latency, ~1 us: the point
    of E9 is that it does not scale with the extent size. *)
 let bulk_erase_cycles = 2000
 
-let create mem = { mem; dirty = Queue.create (); zeroed = Queue.create () }
-let put_dirty t frames = List.iter (fun f -> Queue.add f t.dirty) frames
-let take_zeroed t = Queue.take_opt t.zeroed
+let no_frame = -1
 
-let pspan t name f = Sim.Trace.prof_span (Phys_mem.trace t.mem) name f
+let create mem = { mem; dirty = ring (); zeroed = ring () }
+let put_dirty t pfn = push t.dirty pfn
 
-let eager_zero t pfn = pspan t "zeroing" @@ fun () -> Phys_mem.zero_frame t.mem pfn
+let put_dirty_range t ~first ~count =
+  for pfn = first to first + count - 1 do
+    push t.dirty pfn
+  done
+
+let take_zeroed t = if t.zeroed.len = 0 then no_frame else pop t.zeroed
+
+(* The span closures are built only when a profiler is attached. *)
+let eager_zero t pfn =
+  let trace = Phys_mem.trace t.mem in
+  if Sim.Profile.enabled (Sim.Trace.profile trace) then
+    Sim.Trace.prof_span trace "zeroing" (fun () -> Phys_mem.zero_frame t.mem pfn)
+  else Phys_mem.zero_frame t.mem pfn
+
+let launder t ~budget_frames =
+  let n = ref 0 in
+  while !n < budget_frames && t.dirty.len > 0 do
+    let pfn = pop t.dirty in
+    Phys_mem.zero_frame t.mem pfn;
+    push t.zeroed pfn;
+    incr n
+  done;
+  !n
 
 let background_step t ~budget_frames =
-  pspan t "background_zero" @@ fun () ->
-  let rec loop n =
-    if n >= budget_frames then n
-    else
-      match Queue.take_opt t.dirty with
-      | None -> n
-      | Some pfn ->
-        Phys_mem.zero_frame t.mem pfn;
-        Queue.add pfn t.zeroed;
-        loop (n + 1)
-  in
-  loop 0
+  let trace = Phys_mem.trace t.mem in
+  if Sim.Profile.enabled (Sim.Trace.profile trace) then
+    Sim.Trace.prof_span trace "background_zero" (fun () -> launder t ~budget_frames)
+  else launder t ~budget_frames
 
 let bulk_erase t ~first ~count =
   if count < 0 then invalid_arg "Zero_engine.bulk_erase: negative count";
@@ -37,5 +77,5 @@ let bulk_erase t ~first ~count =
   Sim.Clock.charge (Phys_mem.clock t.mem) bulk_erase_cycles;
   Sim.Stats.incr (Phys_mem.stats t.mem) "bulk_erase_cmds"
 
-let pending t = Queue.length t.dirty
-let available t = Queue.length t.zeroed
+let pending t = t.dirty.len
+let available t = t.zeroed.len

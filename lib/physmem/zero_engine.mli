@@ -11,22 +11,38 @@
       contiguous extent (the "new technique" the paper calls for). *)
 
 type t
+(** The pending (dirty) and zeroed pools are FIFOs kept in growable
+    [int] rings: frames are handed out in the order they were put in,
+    and once a ring has grown to its high-water mark, putting, laundering
+    and taking frames allocate nothing. *)
 
 val create : Phys_mem.t -> t
 
-val put_dirty : t -> Frame.t list -> unit
-(** Hand freed frames to the engine; they become pending until zeroed. *)
+val put_dirty : t -> Frame.t -> unit
+(** Hand one freed frame to the engine; it becomes pending until zeroed. *)
 
-val take_zeroed : t -> Frame.t option
-(** Pop a pre-zeroed frame in O(1); [None] when the pool is empty. *)
+val put_dirty_range : t -> first:Frame.t -> count:int -> unit
+(** [put_dirty] each of the [count] frames from [first] upwards, in
+    ascending order. *)
+
+val no_frame : Frame.t
+(** What {!take_zeroed} returns when the pool is empty ([-1], never a
+    frame). *)
+
+val take_zeroed : t -> Frame.t
+(** Pop the oldest pre-zeroed frame in O(1); {!no_frame} when the pool
+    is empty. *)
 
 val background_step : t -> budget_frames:int -> int
-(** Zero up to [budget_frames] pending frames (charging the full linear
-    zeroing cost to the clock, as the work is real — just off the critical
-    path). Returns the number of frames zeroed. *)
+(** Zero up to [budget_frames] pending frames, oldest first (charging the
+    full linear zeroing cost to the clock, as the work is real — just off
+    the critical path), and move them to the zeroed pool. Returns the
+    number of frames zeroed. Its "background_zero" profiler span is
+    built only when a profiler is attached. *)
 
 val eager_zero : t -> Frame.t -> unit
-(** Zero one frame right now, charging linear cost. *)
+(** Zero one frame right now, charging linear cost. Its "zeroing"
+    profiler span is built only when a profiler is attached. *)
 
 val bulk_erase : t -> first:Frame.t -> count:int -> unit
 (** Device-level erase of [count] contiguous frames at constant simulated

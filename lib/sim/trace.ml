@@ -93,7 +93,7 @@ let latency_for t op =
     Hashtbl.add t.latencies op h;
     h
 
-let record t ~op ~start ?(arg = 0) ?(outcome = "ok") ?core () =
+let record t ~op ~start ~arg ?(outcome = "ok") ?core () =
   match t.clock with
   | None -> ()
   | Some clock ->
@@ -116,7 +116,7 @@ let attach_faults t f =
   Fault_inject.set_reporter f (fun site ->
       match t.clock with
       | None -> ()
-      | Some clock -> record t ~op:"fault_inject" ~start:(Clock.now clock) ~outcome:site ())
+      | Some clock -> record t ~op:"fault_inject" ~start:(Clock.now clock) ~arg:0 ~outcome:site ())
 
 let span t ~op ?(arg = 0) ?outcome f =
   match t.clock with

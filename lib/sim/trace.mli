@@ -90,11 +90,13 @@ val dropped : t -> int
 (** Events evicted from the ring by wraparound. *)
 
 val record :
-  t -> op:string -> start:int -> ?arg:int -> ?outcome:string -> ?core:int -> unit -> unit
+  t -> op:string -> start:int -> arg:int -> ?outcome:string -> ?core:int -> unit -> unit
 (** Record one event ending now; latency [now - start] feeds the per-op
-    histogram. [core] overrides the {!current_core} stamp (components
-    acting on a remote core's behalf pass it explicitly). No-op on
-    {!disabled}. *)
+    histogram. [arg] is the event's payload (0 when it has none); it is
+    required because an optional argument bound to a computed value
+    costs a [Some] cell per event. [outcome] defaults to "ok". [core]
+    overrides the {!current_core} stamp (components acting on a remote
+    core's behalf pass it explicitly). No-op on {!disabled}. *)
 
 val span : t -> op:string -> ?arg:int -> ?outcome:('a -> string) -> (unit -> 'a) -> 'a
 (** [span t ~op f] runs [f], charging the clock with whatever [f] itself

@@ -7,6 +7,11 @@ type t = {
   mmu : Hw.Mmu.t;
   range_table : Hw.Range_table.t option;
   mutable vmas : Vma.t IntMap.t; (* keyed by start *)
+  mutable cached : Vma.t option;
+      (* One-entry [find_vma] cache, like Linux's old [mmap_cache]: the
+         [Some v] last returned, kept so a repeat hit allocates nothing.
+         Cleared by [insert_vma] and [remove_range], the only writers of
+         [vmas]. *)
   mutable mmap_cursor : int;
 }
 
@@ -22,7 +27,16 @@ let create ~clock ~stats ?(trace = Sim.Trace.disabled) ~levels ~alloc_pt_frame ?
     Hw.Mmu.create ~clock ~stats ~trace ~table ?range_table ~mode ?tlb_sets ?tlb_ways
       ?range_tlb_entries ?smp ?asid ()
   in
-  { clock; stats; table; mmu; range_table; vmas = IntMap.empty; mmap_cursor = mmap_base }
+  {
+    clock;
+    stats;
+    table;
+    mmu;
+    range_table;
+    vmas = IntMap.empty;
+    cached = None;
+    mmap_cursor = mmap_base;
+  }
 
 let page_table t = t.table
 let mmu t = t.mmu
@@ -40,6 +54,8 @@ let overlaps t (v : Vma.t) =
   || (match above with Some (_, a) -> Vma.end_ v > a.Vma.start | None -> false)
 
 let insert_vma t v =
+  (* A merge below grows a cached VMA in place and one above drops it. *)
+  t.cached <- None;
   if overlaps t v then invalid_arg "Address_space.insert_vma: overlap";
   Sim.Clock.charge t.clock (Sim.Clock.model t.clock).Sim.Cost_model.vma_setup;
   Sim.Stats.incr t.stats "vma_setup";
@@ -65,11 +81,18 @@ let insert_vma t v =
   t.vmas <- IntMap.add v.Vma.start v t.vmas
 
 let find_vma t ~va =
-  match IntMap.find_last_opt (fun s -> s <= va) t.vmas with
-  | Some (_, v) when Vma.contains v va -> Some v
-  | _ -> None
+  match t.cached with
+  | Some v when Vma.contains v va -> t.cached
+  | _ -> (
+    match IntMap.find_last_opt (fun s -> s <= va) t.vmas with
+    | Some (_, v) when Vma.contains v va ->
+      let found = Some v in
+      t.cached <- found;
+      found
+    | _ -> None)
 
 let remove_range t ~start ~len =
+  t.cached <- None;
   let finish = start + len in
   let removed = ref [] in
   let to_delete = ref [] in

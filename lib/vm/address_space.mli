@@ -22,13 +22,23 @@ val alloc_va : t -> len:int -> align:int -> int
 
 val insert_vma : t -> Vma.t -> unit
 (** Add a VMA, merging with neighbours when {!Vma.can_merge} allows; one
-    VMA-setup charge. Raises [Invalid_argument] on overlap. *)
+    VMA-setup charge. Raises [Invalid_argument] on overlap. Clears the
+    {!find_vma} cache. *)
 
 val remove_range : t -> start:int -> len:int -> Vma.t list
 (** Remove all VMAs fully inside the range (partial overlaps split);
-    returns the removed pieces. *)
+    returns the removed pieces. Clears the {!find_vma} cache. *)
 
 val find_vma : t -> va:int -> Vma.t option
+(** The VMA containing [va]. A one-entry cache (Linux's old
+    [mmap_cache]) keeps the last [Some v] returned: a lookup that lands
+    in the same VMA returns that very option and allocates nothing; a
+    miss searches the VMA map. {!insert_vma} and {!remove_range}, the
+    only writers of the map, clear the cache, so it never outlives the
+    VMA it names. In-place edits of a VMA's own fields (mprotect's
+    [prot]) need no invalidation: the cache holds the VMA itself. No
+    cycles are charged either way. *)
+
 val vma_count : t -> int
 val iter_vmas : t -> (Vma.t -> unit) -> unit
 

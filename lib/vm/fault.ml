@@ -24,6 +24,11 @@ let buddy_alloc ctx ~order =
   if Sim.Fault_inject.fires (faults ctx) ~site:Sim.Fault_inject.site_frame_alloc_fail then None
   else Alloc.Buddy.alloc ctx.buddy ~order
 
+(* The engine's oldest laundered frame, if any. *)
+let zeroed_frame ctx =
+  let pfn = Physmem.Zero_engine.take_zeroed ctx.zero in
+  if pfn = Physmem.Zero_engine.no_frame then None else Some pfn
+
 (* A frame with unspecified contents: buddy first; when the buddy is dry
    the memory may be sitting in the zero engine — dirty (freed but not
    yet laundered: zero one on demand) or already laundered into its
@@ -31,10 +36,10 @@ let buddy_alloc ctx ~order =
    than OOM. *)
 let raw_frame ctx =
   match buddy_alloc ctx ~order:0 with
-  | Some pfn -> Some pfn
+  | Some _ as got -> got
   | None ->
     ignore (Physmem.Zero_engine.background_step ctx.zero ~budget_frames:1);
-    Physmem.Zero_engine.take_zeroed ctx.zero
+    zeroed_frame ctx
 
 (* Graceful degradation: a failed allocation gets exactly one
    reclaim-then-retry pass before the typed OOM surfaces. *)
@@ -72,15 +77,15 @@ let fresh_zero_frame_once ctx =
   (* Prefer the pre-zeroed cache, then the engine's own pool (both O(1));
      fall back to allocate + eager zero. *)
   match Alloc.Zero_cache.take ctx.zcache ~order:0 with
-  | Some pfn -> Some pfn
+  | Some _ as got -> got
   | None -> (
-    match Physmem.Zero_engine.take_zeroed ctx.zero with
-    | Some pfn -> Some pfn
+    match zeroed_frame ctx with
+    | Some _ as got -> got
     | None -> (
       match buddy_alloc ctx ~order:0 with
-      | Some pfn ->
+      | Some pfn as got ->
         Physmem.Zero_engine.eager_zero ctx.zero pfn;
-        Some pfn
+        got
       | None -> raw_frame ctx (* laundered on demand: already zero *)))
 
 let fresh_zero_frame ctx =
@@ -146,7 +151,7 @@ let cow ctx aspace ~va ~(old_leaf : Hw.Page_table.leaf) ~prot ~anon_backing =
   (* A CoW'd anonymous frame with no mappings left is dead: recycle it.
      File frames stay — the file system owns them. *)
   if anon_backing && Page_meta.mapcount ctx.meta old_pfn = 0 then
-    Physmem.Zero_engine.put_dirty ctx.zero [ old_pfn ];
+    Physmem.Zero_engine.put_dirty ctx.zero old_pfn;
   Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
   install ctx aspace ~va:page_va ~pfn ~prot;
   Sim.Stats.incr (stats ctx) "cow_fault"
@@ -178,7 +183,9 @@ let handle_inner ctx ~aspace ~pid ~va ~write =
     | exception Not_found -> (
       match vma.Vma.backing with
       | Vma.Anon ->
-        if Swap.contains ctx.swap ~key:(pid, page_va) then begin
+        (* With no slot in use there is nothing to look up, and no key
+           tuple to build. *)
+        if Swap.slots_used ctx.swap > 0 && Swap.contains ctx.swap ~key:(pid, page_va) then begin
           (* Major fault: bring the page back from the device. *)
           let pfn = raw_frame_exn ctx in
           let ok = Swap.swap_in ctx.swap ~key:(pid, page_va) ~pfn in
@@ -202,12 +209,13 @@ let handle_unprofiled ctx trace ~aspace ~pid ~va ~write =
   let start = Sim.Clock.now (clock ctx) in
   match handle_inner ctx ~aspace ~pid ~va ~write with
   | kind ->
-    Sim.Trace.record trace ~op:"fault_handle" ~start
-      ~outcome:(match kind with Minor -> "minor" | Major -> "major")
-      ();
+    (* Literal outcomes only: a computed one would cost a [Some] cell. *)
+    (match kind with
+    | Minor -> Sim.Trace.record trace ~op:"fault_handle" ~start ~arg:0 ~outcome:"minor" ()
+    | Major -> Sim.Trace.record trace ~op:"fault_handle" ~start ~arg:0 ~outcome:"major" ());
     kind
   | exception Segfault va ->
-    Sim.Trace.record trace ~op:"fault_handle" ~start ~outcome:"segfault" ();
+    Sim.Trace.record trace ~op:"fault_handle" ~start ~arg:0 ~outcome:"segfault" ();
     raise (Segfault va)
 
 let handle ctx ~aspace ~pid ~va ~write =

@@ -290,7 +290,7 @@ let release_page t (vma : Vma.t) ~page_va (leaf : Hw.Page_table.leaf) =
   | Vma.Anon ->
     ignore page_va;
     if Page_meta.mapcount t.meta pfn = 0 then
-      Physmem.Zero_engine.put_dirty t.zero [ pfn ]
+      Physmem.Zero_engine.put_dirty t.zero pfn
   | Vma.File _ ->
     (* File frames belong to the file system; nothing to free here. *)
     ()
@@ -484,16 +484,18 @@ let madvise_dontneed t proc ~va ~len =
   let pages = Sim.Units.pages_of_bytes len in
   for i = 0 to pages - 1 do
     let page_va = Sim.Units.round_down va ~align:Sim.Units.page_size + (i * Sim.Units.page_size) in
-    match (Address_space.find_vma aspace ~va:page_va, Hw.Page_table.lookup table ~va:page_va) with
-    | Some { Vma.backing = Vma.Anon; _ }, Some (_, leaf)
-      when leaf.Hw.Page_table.size = Hw.Page_size.Small ->
-      let pfn = leaf.Hw.Page_table.pfn in
-      Hw.Page_table.unmap_page table ~va:page_va;
-      Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
-      Page_meta.dec_mapcount t.meta pfn;
-      Page_meta.put_page t.meta pfn;
-      if Page_meta.mapcount t.meta pfn = 0 then Physmem.Zero_engine.put_dirty t.zero [ pfn ];
-      incr released
+    match Address_space.find_vma aspace ~va:page_va with
+    | Some { Vma.backing = Vma.Anon; _ } -> (
+      match Hw.Page_table.find_leaf table ~va:page_va with
+      | leaf when leaf.Hw.Page_table.size = Hw.Page_size.Small ->
+        let pfn = leaf.Hw.Page_table.pfn in
+        Hw.Page_table.unmap_page table ~va:page_va;
+        Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
+        Page_meta.dec_mapcount t.meta pfn;
+        Page_meta.put_page t.meta pfn;
+        if Page_meta.mapcount t.meta pfn = 0 then Physmem.Zero_engine.put_dirty t.zero pfn;
+        incr released
+      | _ | (exception Not_found) -> ())
     | _ -> ()
   done;
   Sim.Stats.add t.stats "madvise_released" !released;
@@ -537,7 +539,7 @@ let user_page_release t proc ~va =
     Hw.Mmu.invalidate_page (Address_space.mmu aspace) ~va:page_va;
     Page_meta.dec_mapcount t.meta pfn;
     Page_meta.put_page t.meta pfn;
-    Physmem.Zero_engine.put_dirty t.zero [ pfn ];
+    Physmem.Zero_engine.put_dirty t.zero pfn;
     Sim.Stats.incr t.stats "userfault_evict";
     Some pfn
 

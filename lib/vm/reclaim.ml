@@ -73,7 +73,7 @@ let evict t e (leaf : Hw.Page_table.leaf) ~batch =
   Page_meta.put_page t.meta e.pfn;
   Page_meta.set_flag t.meta e.pfn Page_meta.Lru false;
   (* Freed frames go back through the zeroing pipeline. *)
-  Physmem.Zero_engine.put_dirty t.zero [ e.pfn ];
+  Physmem.Zero_engine.put_dirty t.zero e.pfn;
   ignore (Physmem.Zero_engine.background_step t.zero ~budget_frames:2)
 
 let scan_clock t ~target_frames =

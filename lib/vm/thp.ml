@@ -51,7 +51,7 @@ let try_collapse k (proc : Proc.t) ~window ~prot ~min_pages =
           Hw.Page_table.unmap_page table ~va;
           Page_meta.dec_mapcount meta pfn;
           Page_meta.put_page meta pfn;
-          Physmem.Zero_engine.put_dirty (Kernel.zero_engine k) [ pfn ])
+          Physmem.Zero_engine.put_dirty (Kernel.zero_engine k) pfn)
         present;
       Hw.Mmu.invalidate_range (Address_space.mmu aspace) ~va:window ~len:Sim.Units.huge_2m;
       (* One huge leaf replaces them all. *)

@@ -23,9 +23,18 @@ let unregister t ~pid ~va =
     invalid_arg "Userfault.unregister: no such registration";
   Hashtbl.replace t.regions pid (List.filter (fun r -> r.start <> va) existing)
 
+let rec find_in regions ~va =
+  match regions with
+  | [] -> None
+  | r :: rest ->
+    if va >= r.start && va < r.start + r.len then Some (r.handler, r.prot)
+    else find_in rest ~va
+
+(* Every fault of every process asks: a miss allocates nothing. *)
 let find t ~pid ~va =
-  List.find_opt (fun r -> va >= r.start && va < r.start + r.len) (of_pid t pid)
-  |> Option.map (fun r -> (r.handler, r.prot))
+  match Hashtbl.find t.regions pid with
+  | regions -> find_in regions ~va
+  | exception Not_found -> None
 
 let region_count t ~pid = List.length (of_pid t pid)
 

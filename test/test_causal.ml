@@ -42,7 +42,7 @@ let test_seq_monotonic () =
   let trace = Sim.Trace.create ~clock () in
   for _ = 1 to 5 do
     (* No clock charge: all five events land on cycle 0. *)
-    Sim.Trace.record trace ~op:"zero_cost" ~start:(Sim.Clock.now clock) ()
+    Sim.Trace.record trace ~op:"zero_cost" ~start:(Sim.Clock.now clock) ~arg:0 ()
   done;
   let evs = Sim.Trace.events trace in
   check_int "five events" 5 (List.length evs);
@@ -63,8 +63,8 @@ let test_core_stamp_and_disabled () =
   let trace = Sim.Trace.create ~clock () in
   check_int "default core 0" 0 (Sim.Trace.current_core trace);
   Sim.Trace.set_core trace 3;
-  Sim.Trace.record trace ~op:"stamped" ~start:0 ();
-  Sim.Trace.record trace ~op:"explicit" ~start:0 ~core:7 ();
+  Sim.Trace.record trace ~op:"stamped" ~start:0 ~arg:0 ();
+  Sim.Trace.record trace ~op:"explicit" ~start:0 ~arg:0 ~core:7 ();
   (match Sim.Trace.events trace with
   | [ a; b ] ->
     check_int "stamped with current core" 3 a.Sim.Trace.core;

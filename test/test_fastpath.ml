@@ -80,7 +80,8 @@ let test_zero_cache_hit_miss () =
   let stats = Physmem.Phys_mem.stats mem in
   check_bool "empty cache misses" true (Alloc.Zero_cache.take zc ~order:0 = None);
   check_int "miss counted" 1 (Sim.Stats.get stats "zero_cache_miss");
-  Physmem.Zero_engine.put_dirty engine [ 5; 6 ];
+  Physmem.Zero_engine.put_dirty engine 5;
+  Physmem.Zero_engine.put_dirty engine 6;
   check_int "refill launders both" 2 (Alloc.Zero_cache.refill zc ~budget_frames:8);
   check_int "available" 2 (Alloc.Zero_cache.available zc ~order:0);
   let clock = Physmem.Phys_mem.clock mem in
@@ -117,7 +118,7 @@ let test_fault_path_uses_cache () =
 let test_tlb_evictions_counter () =
   let clock, stats = mk_env () in
   let tlb = Hw.Tlb.create ~clock ~stats ~sets:1 ~ways:2 () in
-  let ins va = Hw.Tlb.insert tlb ~va ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small () in
+  let ins va = Hw.Tlb.insert tlb ~asid:0 ~va ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small in
   ins 0;
   ins page;
   check_int "fills are not evictions" 0 (Sim.Stats.get stats "tlb_evictions");
@@ -265,17 +266,88 @@ let test_tlb_miss_alloc_free () =
   let clock, stats = mk_env () in
   let trace = Sim.Trace.create ~clock ~capacity:64 () in
   let tlb = Hw.Tlb.create ~clock ~stats ~trace () in
-  let miss () = ignore (Hw.Tlb.lookup tlb ~asid:1 ~va:(64 * page) ()) in
+  let miss () = ignore (Hw.Tlb.lookup tlb ~asid:1 ~va:(64 * page)) in
   miss ();
   check_zero "Tlb.lookup miss" (words_per_call miss)
 
-let test_access_tlb_hit_budget () =
+let test_tlb_hit_alloc_free () =
+  let clock, stats = mk_env () in
+  let trace = Sim.Trace.create ~clock ~capacity:64 () in
+  let tlb = Hw.Tlb.create ~clock ~stats ~trace () in
+  Hw.Tlb.insert tlb ~asid:1 ~va:(64 * page) ~pfn:9 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
+  let hit () = ignore (Hw.Tlb.lookup tlb ~asid:1 ~va:((64 * page) + 8)) in
+  hit ();
+  check_int "hits" 1 (Sim.Stats.get stats "tlb_hit");
+  check_zero "Tlb.lookup hit" (words_per_call hit)
+
+let test_walk_alloc_free () =
+  let pt, clock, stats = mk_page_table () in
+  let trace = Sim.Trace.create ~clock ~capacity:64 () in
+  Hw.Page_table.map_page pt ~va:page ~pfn:3 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
+  let walk va () =
+    match Hw.Walker.walk ~trace ~clock ~stats ~table:pt ~mode:Hw.Walker.Native ~va with
+    | _ -> ()
+    | exception Not_found -> ()
+  in
+  let leaf = walk (page + 8) and hole = walk (9 * page) in
+  leaf ();
+  hole ();
+  check_zero "Walker.walk, leaf" (words_per_call leaf);
+  check_zero "Walker.walk, hole" (words_per_call hole);
+  check_int "every walk counted" 2002 (Sim.Stats.get stats "page_walks")
+
+let test_find_vma_cache_hit_alloc_free () =
+  let k = mk_kernel () in
+  let p = K.create_process k () in
+  let va = K.mmap_anon k p ~len:(4 * page) ~prot:Hw.Prot.rw ~populate:false in
+  let aspace = p.Os.Proc.aspace in
+  let find () = ignore (Os.Address_space.find_vma aspace ~va:(va + (3 * page))) in
+  find ();
+  check_bool "found" true (Os.Address_space.find_vma aspace ~va <> None);
+  check_zero "Address_space.find_vma, cache hit" (words_per_call find)
+
+(* Once both rings have grown, a frame's whole trip through the engine —
+   freed, laundered, handed out — allocates nothing. *)
+let test_zero_engine_ring_alloc_free () =
+  let mem = mk_mem () in
+  let z = Physmem.Zero_engine.create mem in
+  let trip () =
+    Physmem.Zero_engine.put_dirty z 7;
+    ignore (Physmem.Zero_engine.background_step z ~budget_frames:1);
+    ignore (Physmem.Zero_engine.take_zeroed z)
+  in
+  Physmem.Zero_engine.put_dirty_range z ~first:100 ~count:64;
+  ignore (Physmem.Zero_engine.background_step z ~budget_frames:64);
+  trip ();
+  check_zero "Zero_engine put_dirty + background_step + take_zeroed" (words_per_call trip);
+  check_int "pool kept" 64 (Physmem.Zero_engine.available z)
+
+(* The order-0 free list holds 64 blocks: choosing the smallest costs a
+   scan, but the scan allocates nothing per block. What remains is the
+   returned [Some] and the one closure [Hashtbl.fold] builds per call. *)
+let test_buddy_alloc_budget () =
+  let mem = mk_mem () in
+  let buddy = Alloc.Buddy.create ~mem ~first:0 ~count:1024 ~merge:false () in
+  let frames = List.init 128 (fun _ -> Option.get (Alloc.Buddy.alloc buddy ~order:0)) in
+  List.iteri (fun i pfn -> if i land 1 = 0 then Alloc.Buddy.free buddy pfn ~order:0) frames;
+  check_int "64 free order-0 blocks" 64 (Alloc.Buddy.free_blocks_per_order buddy).(0);
+  let bias =
+    let w0 = words () in
+    words () -. w0
+  in
+  let w0 = words () in
+  let pfn = Alloc.Buddy.alloc buddy ~order:0 in
+  let used = words () -. w0 -. bias in
+  check_bool "smallest start frame" true (pfn = Some 0);
+  check_budget "Buddy.alloc ~order:0 over 64 free blocks" ~budget:8 used
+
+let test_access_tlb_hit_budget ~budget () =
   let k = mk_kernel () in
   let p = K.create_process k () in
   let va = K.mmap_anon k p ~len:page ~prot:Hw.Prot.rw ~populate:true in
   let hit () = K.access k p ~va ~write:true in
   hit ();
-  check_budget "Kernel.access, TLB hit" ~budget:40 (words_per_call hit)
+  check_budget "Kernel.access, TLB hit" ~budget (words_per_call hit)
 
 (* Per page of one call over [pages] pages. *)
 let words_per_page ~pages f =
@@ -283,7 +355,7 @@ let words_per_page ~pages f =
   f ();
   (words () -. w0) /. float_of_int pages
 
-let test_first_touch_fault_budget () =
+let test_first_touch_fault_budget ~budget () =
   let k = mk_kernel () in
   let p = K.create_process k () in
   let pages = 256 in
@@ -294,9 +366,9 @@ let test_first_touch_fault_budget () =
         ignore (K.access_range k p ~va ~len ~write:true ~stride:page))
   in
   check_int "every page faulted" pages (Sim.Stats.get (K.stats k) "page_fault");
-  check_budget "first-touch fault, per page" ~budget:220 per_page
+  check_budget "first-touch fault, per page" ~budget per_page
 
-let test_munmap_budget () =
+let test_munmap_budget ~budget () =
   let k = mk_kernel () in
   let p = K.create_process k () in
   let pages = 256 in
@@ -305,7 +377,7 @@ let test_munmap_budget () =
   ignore (K.access_range k p ~va ~len ~write:true ~stride:page);
   let per_page = words_per_page ~pages (fun () -> K.munmap k p ~va ~len) in
   check_int "every PTE cleared" pages (Sim.Stats.get (K.stats k) "pte_clear");
-  check_budget "munmap, per page" ~budget:25 per_page
+  check_budget "munmap, per page" ~budget per_page
 
 (* -------------------- durable-path allocation budgets --------------- *)
 
@@ -410,13 +482,27 @@ let suite =
       test_trace_stats_alloc_free;
     Alcotest.test_case "alloc: TLB miss 0 words" `Quick test_tlb_miss_alloc_free;
     Alcotest.test_case "alloc: access on a TLB hit <= 40 words" `Quick
-      test_access_tlb_hit_budget;
+      (test_access_tlb_hit_budget ~budget:40);
     Alcotest.test_case "alloc: first-touch fault <= 220 words/page" `Quick
-      test_first_touch_fault_budget;
-    Alcotest.test_case "alloc: munmap <= 25 words/page" `Quick test_munmap_budget;
+      (test_first_touch_fault_budget ~budget:220);
+    Alcotest.test_case "alloc: munmap <= 25 words/page" `Quick (test_munmap_budget ~budget:25);
     Alcotest.test_case "alloc: NVM rewrite + flush <= 10 words" `Quick test_nvm_flush_budget;
     Alcotest.test_case "alloc: WAL append <= 50 words" `Quick test_wal_append_budget;
     Alcotest.test_case "alloc: store get <= 60 words" `Quick test_kv_get_budget;
     Alcotest.test_case "alloc: store put transaction <= 360 words" `Quick test_kv_commit_budget;
     Alcotest.test_case "alloc: store checkpoint <= 20 words/key" `Quick test_kv_checkpoint_budget;
+    (* The baseline fault path's budgets, tightened from the cases above
+       once it allocated only what it keeps. *)
+    Alcotest.test_case "alloc: access on a TLB hit <= 4 words" `Quick
+      (test_access_tlb_hit_budget ~budget:4);
+    Alcotest.test_case "alloc: first-touch fault <= 110 words/page" `Quick
+      (test_first_touch_fault_budget ~budget:110);
+    Alcotest.test_case "alloc: munmap <= 4 words/page" `Quick (test_munmap_budget ~budget:4);
+    Alcotest.test_case "alloc: TLB hit 0 words" `Quick test_tlb_hit_alloc_free;
+    Alcotest.test_case "alloc: page walk, leaf and hole, 0 words" `Quick test_walk_alloc_free;
+    Alcotest.test_case "alloc: find_vma cache hit 0 words" `Quick
+      test_find_vma_cache_hit_alloc_free;
+    Alcotest.test_case "alloc: zero-engine ring trip 0 words" `Quick
+      test_zero_engine_ring_alloc_free;
+    Alcotest.test_case "alloc: buddy order-0 alloc <= 8 words" `Quick test_buddy_alloc_budget;
   ]

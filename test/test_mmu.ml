@@ -181,18 +181,30 @@ let test_walk_charges_and_access_bit () =
   let pt, clock, stats = mk_page_table () in
   PT.map_page pt ~va:0x1000 ~pfn:3 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
   let before = Sim.Clock.now clock in
-  (match Hw.Walker.walk ~clock ~stats ~table:pt ~mode:Hw.Walker.Native ~va:0x1000 () with
-  | Some (pa, leaf) ->
-    check_int "pa" (3 * 4096) pa;
+  (match Hw.Walker.walk ~trace:Sim.Trace.disabled ~clock ~stats ~table:pt ~mode:Hw.Walker.Native
+          ~va:0x1234 with
+  | leaf ->
+    check_int "pfn" 3 leaf.PT.pfn;
     check_bool "accessed set" true leaf.PT.accessed
-  | None -> Alcotest.fail "walk failed");
+  | exception Not_found -> Alcotest.fail "walk failed");
   let m = Sim.Cost_model.default in
-  check_int "leaf from DRAM, upper levels from walk caches"
-    (m.Sim.Cost_model.mem_ref_dram + (3 * m.Sim.Cost_model.cache_ref))
+  let walk_cost = m.Sim.Cost_model.mem_ref_dram + (3 * m.Sim.Cost_model.cache_ref) in
+  check_int "leaf from DRAM, upper levels from walk caches" walk_cost
     (Sim.Clock.elapsed clock ~since:before);
-  check_int "stat" 4 (Sim.Stats.get stats "walk_refs")
+  check_int "stat" 4 (Sim.Stats.get stats "walk_refs");
+  (* A hole is walked all the way down and charged like a 4 KiB leaf. *)
+  let before = Sim.Clock.now clock in
+  (match Hw.Walker.walk ~trace:Sim.Trace.disabled ~clock ~stats ~table:pt ~mode:Hw.Walker.Native
+          ~va:0x9000 with
+  | _ -> Alcotest.fail "hole resolved"
+  | exception Not_found -> ());
+  check_int "hole charged" walk_cost (Sim.Clock.elapsed clock ~since:before);
+  check_int "hole refs" 8 (Sim.Stats.get stats "walk_refs");
+  check_int "walks" 2 (Sim.Stats.get stats "page_walks")
 
 (* TLB *)
+
+let hit tlb ~va = Hw.Tlb.lookup tlb ~asid:0 ~va != Hw.Tlb.no_slot
 
 let mk_tlb () =
   let clock, stats = mk_env () in
@@ -200,13 +212,12 @@ let mk_tlb () =
 
 let test_tlb_hit_miss () =
   let tlb, _, stats = mk_tlb () in
-  check_bool "cold miss" true (Hw.Tlb.lookup tlb ~va:0x1000 () = None);
-  Hw.Tlb.insert tlb ~va:0x1000 ~pfn:5 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
-  (match Hw.Tlb.lookup tlb ~va:0x1234 () with
-  | Some (pfn, _, size) ->
-    check_int "pfn" 5 pfn;
-    check_bool "size" true (size = Hw.Page_size.Small)
-  | None -> Alcotest.fail "expected hit");
+  check_bool "cold miss" false (hit tlb ~va:0x1000);
+  Hw.Tlb.insert tlb ~asid:0 ~va:0x1000 ~pfn:5 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
+  let s = Hw.Tlb.lookup tlb ~asid:0 ~va:0x1234 in
+  check_bool "expected hit" true (s != Hw.Tlb.no_slot);
+  check_int "pfn" 5 s.Hw.Tlb.pfn;
+  check_bool "size" true (s.Hw.Tlb.size = Hw.Page_size.Small);
   check_int "one miss" 1 (Sim.Stats.get stats "tlb_miss");
   check_int "one hit" 1 (Sim.Stats.get stats "tlb_hit")
 
@@ -214,32 +225,32 @@ let test_tlb_lru_eviction () =
   let tlb, _, _ = mk_tlb () in
   (* Fill one set beyond capacity: vpns congruent mod 4. *)
   let va i = i * 4 * 4096 in
-  Hw.Tlb.insert tlb ~va:(va 0) ~pfn:0 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
-  Hw.Tlb.insert tlb ~va:(va 1) ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
-  ignore (Hw.Tlb.lookup tlb ~va:(va 0) ());
+  Hw.Tlb.insert tlb ~asid:0 ~va:(va 0) ~pfn:0 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
+  Hw.Tlb.insert tlb ~asid:0 ~va:(va 1) ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
+  ignore (Hw.Tlb.lookup tlb ~asid:0 ~va:(va 0));
   (* va0 is MRU; inserting a third evicts va1. *)
-  Hw.Tlb.insert tlb ~va:(va 2) ~pfn:2 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
-  check_bool "va0 survives" true (Hw.Tlb.lookup tlb ~va:(va 0) () <> None);
-  check_bool "va1 evicted" true (Hw.Tlb.lookup tlb ~va:(va 1) () = None)
+  Hw.Tlb.insert tlb ~asid:0 ~va:(va 2) ~pfn:2 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
+  check_bool "va0 survives" true (hit tlb ~va:(va 0));
+  check_bool "va1 evicted" false (hit tlb ~va:(va 1))
 
 let test_tlb_huge_entry () =
   let tlb, _, _ = mk_tlb () in
-  Hw.Tlb.insert tlb ~va:Sim.Units.huge_2m ~pfn:512 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Huge_2m ();
+  Hw.Tlb.insert tlb ~asid:0 ~va:Sim.Units.huge_2m ~pfn:512 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Huge_2m;
   (* One entry covers the whole 2 MiB. *)
-  check_bool "start" true (Hw.Tlb.lookup tlb ~va:Sim.Units.huge_2m () <> None);
-  check_bool "middle" true (Hw.Tlb.lookup tlb ~va:(Sim.Units.huge_2m + Sim.Units.mib 1) () <> None);
-  check_bool "past end" true (Hw.Tlb.lookup tlb ~va:(2 * Sim.Units.huge_2m) () = None)
+  check_bool "start" true (hit tlb ~va:Sim.Units.huge_2m);
+  check_bool "middle" true (hit tlb ~va:(Sim.Units.huge_2m + Sim.Units.mib 1));
+  check_bool "past end" false (hit tlb ~va:(2 * Sim.Units.huge_2m))
 
 let test_tlb_invalidate () =
   let tlb, _, _ = mk_tlb () in
-  Hw.Tlb.insert tlb ~va:0x1000 ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
-  Hw.Tlb.insert tlb ~va:0x2000 ~pfn:2 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
+  Hw.Tlb.insert tlb ~asid:0 ~va:0x1000 ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
+  Hw.Tlb.insert tlb ~asid:0 ~va:0x2000 ~pfn:2 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
   Hw.Tlb.invalidate_page tlb ~va:0x1000 ();
-  check_bool "gone" true (Hw.Tlb.lookup tlb ~va:0x1000 () = None);
-  check_bool "other survives" true (Hw.Tlb.lookup tlb ~va:0x2000 () <> None);
+  check_bool "gone" false (hit tlb ~va:0x1000);
+  check_bool "other survives" true (hit tlb ~va:0x2000);
   Hw.Tlb.invalidate_range tlb ~va:0 ~len:(Sim.Units.mib 1) ();
-  check_bool "range cleared" true (Hw.Tlb.lookup tlb ~va:0x2000 () = None);
-  Hw.Tlb.insert tlb ~va:0x3000 ~pfn:3 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
+  check_bool "range cleared" false (hit tlb ~va:0x2000);
+  Hw.Tlb.insert tlb ~asid:0 ~va:0x3000 ~pfn:3 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
   Hw.Tlb.flush tlb;
   check_int "flush empties" 0 (Hw.Tlb.entry_count tlb)
 
@@ -248,8 +259,8 @@ let test_tlb_invalidate_range_accounting () =
   let per_page = Sim.Cost_model.shootdown_cost Sim.Cost_model.default in
   (* 2 resident pages inside an 8-page range: one INVLPG per page in the
      range, resident or not — never one up-front plus one per eviction. *)
-  Hw.Tlb.insert tlb ~va:0x1000 ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
-  Hw.Tlb.insert tlb ~va:0x3000 ~pfn:3 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
+  Hw.Tlb.insert tlb ~asid:0 ~va:0x1000 ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
+  Hw.Tlb.insert tlb ~asid:0 ~va:0x3000 ~pfn:3 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
   let t0 = Sim.Clock.now clock and s0 = Sim.Stats.get stats "tlb_shootdown" in
   Hw.Tlb.invalidate_range tlb ~va:0 ~len:(8 * Sim.Units.page_size) ();
   check_int "8-page range charges 8 INVLPGs" (8 * per_page) (Sim.Clock.now clock - t0);
@@ -263,7 +274,7 @@ let test_tlb_invalidate_range_accounting () =
 
 let test_tlb_invalidate_range_full_flush () =
   let tlb, clock, stats = mk_tlb () in
-  Hw.Tlb.insert tlb ~va:0x1000 ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
+  Hw.Tlb.insert tlb ~asid:0 ~va:0x1000 ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
   let t0 = Sim.Clock.now clock in
   Hw.Tlb.invalidate_range tlb ~va:0 ~len:(33 * Sim.Units.page_size) ();
   check_int "33+ pages cost one full flush, not 33 INVLPGs"
@@ -678,10 +689,10 @@ let prop_tlb_vs_lru_model =
         (fun vpn ->
           let va = vpn * Sim.Units.page_size in
           let model_hit = List.mem vpn !model in
-          let tlb_hit = Hw.Tlb.lookup tlb ~va () <> None in
+          let tlb_hit = hit tlb ~va in
           (if model_hit then model := vpn :: List.filter (( <> ) vpn) !model
            else begin
-             Hw.Tlb.insert tlb ~va ~pfn:vpn ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small ();
+             Hw.Tlb.insert tlb ~asid:0 ~va ~pfn:vpn ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
              model := vpn :: List.filteri (fun i _ -> i < 3) (List.filter (( <> ) vpn) !model)
            end);
           tlb_hit = model_hit)

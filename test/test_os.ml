@@ -376,6 +376,97 @@ let prop_demand_faults_equal_pages_touched =
       ignore (K.access_range k p ~va ~len ~write:true ~stride:Sim.Units.page_size);
       Sim.Stats.get (K.stats k) "minor_fault" = pages)
 
+(* The find_vma cache against a plain search of the VMA set. Ops go
+   through the kernel (mmap, munmap with splits, mprotect, faults), plus
+   a map that fills a hole between two VMAs, so inserts merge both below
+   and above. After every op the VA of the last successful lookup is
+   probed first: a cache left naming a VMA the op removed, split or
+   merged away answers there. *)
+type vma_op =
+  | Map of int * bool  (** pages, writable *)
+  | Unmap of int * int  (** first page, pages *)
+  | Protect of int * bool  (** page, writable *)
+  | Fill of int * int * bool  (** hole index, pages short of the hole, writable *)
+  | Touch of int  (** page *)
+
+let vma_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map2 (fun n w -> Map (1 + n, w)) (int_bound 5) bool);
+        (3, map2 (fun p n -> Unmap (p, 1 + n)) (int_bound 40) (int_bound 6));
+        (2, map2 (fun p w -> Protect (p, w)) (int_bound 40) bool);
+        (2, map3 (fun h s w -> Fill (h, s, w)) (int_bound 7) (int_bound 1) bool);
+        (2, map (fun p -> Touch p) (int_bound 40));
+      ])
+
+let prop_find_vma_cache_vs_search =
+  qtest "aspace: find_vma cache == search over iter_vmas" ~count:200
+    QCheck2.Gen.(list_size (int_bound 40) (pair vma_op_gen (list_size (int_bound 6) (int_bound 48))))
+    (fun ops ->
+      let k, p = mk () in
+      let aspace = p.Os.Proc.aspace in
+      let page = Sim.Units.page_size in
+      let base = Os.Address_space.mmap_cursor aspace in
+      let prot w = if w then Hw.Prot.rw else Hw.Prot.r in
+      let vmas () =
+        let acc = ref [] in
+        Os.Address_space.iter_vmas aspace (fun v -> acc := v :: !acc);
+        List.rev !acc
+      in
+      let search va = List.find_opt (fun v -> Os.Vma.contains v va) (vmas ()) in
+      let last_hit = ref base in
+      let probe va =
+        let got = Os.Address_space.find_vma aspace ~va in
+        let ok =
+          match (got, search va) with
+          | Some a, Some b -> a == b
+          | None, None -> true
+          | _ -> false
+        in
+        if not ok then QCheck2.Test.fail_reportf "find_vma %#x disagrees with the search" va;
+        if got <> None then last_hit := va
+      in
+      let holes () =
+        let rec gaps = function
+          | a :: (b :: _ as rest) ->
+            let e = Os.Vma.end_ a in
+            if e < b.Os.Vma.start then (e, b.Os.Vma.start - e) :: gaps rest else gaps rest
+          | _ -> []
+        in
+        gaps (vmas ())
+      in
+      List.iter
+        (fun (op, probes) ->
+          (match op with
+          | Map (n, w) -> ignore (K.mmap_anon k p ~len:(n * page) ~prot:(prot w) ~populate:false)
+          | Unmap (first, n) -> K.munmap k p ~va:(base + (first * page)) ~len:(n * page)
+          | Protect (pg, w) ->
+            let va = base + (pg * page) in
+            if search va <> None then K.mprotect k p ~va ~len:page ~prot:(prot w)
+          | Fill (h, short, w) -> (
+            match holes () with
+            | [] -> ()
+            | hs ->
+              let start, len = List.nth hs (h mod List.length hs) in
+              let len = max page (len - (short * page)) in
+              let cursor = Os.Address_space.mmap_cursor aspace in
+              Os.Address_space.set_mmap_cursor aspace start;
+              ignore (K.mmap_anon k p ~len ~prot:(prot w) ~populate:false);
+              Os.Address_space.set_mmap_cursor aspace cursor)
+          | Touch pg ->
+            let va = base + (pg * page) in
+            if search va <> None then K.access k p ~va ~write:false);
+          probe !last_hit;
+          List.iter (fun pg -> probe (base + (pg * page) + 8)) probes;
+          List.iter
+            (fun v ->
+              let e = Os.Vma.end_ v in
+              List.iter probe [ v.Os.Vma.start - 1; v.Os.Vma.start; e - 1; e ])
+            (vmas ()))
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "page_meta: flags and refcounts" `Quick test_page_meta_flags_refs;
@@ -408,4 +499,5 @@ let suite =
     Alcotest.test_case "kernel: 5-level walks" `Quick test_five_level_kernel_walk_refs;
     Alcotest.test_case "kernel: virtualized walks cost 24 refs" `Quick test_virtualized_walk_cost;
     prop_demand_faults_equal_pages_touched;
+    prop_find_vma_cache_vs_search;
   ]

@@ -120,21 +120,78 @@ let test_one_byte_frames_stay_small () =
 let test_zero_engine_pool () =
   let mem = mk_mem () in
   let z = Physmem.Zero_engine.create mem in
-  check_bool "pool empty" true (Physmem.Zero_engine.take_zeroed z = None);
+  check_int "pool empty" Physmem.Zero_engine.no_frame (Physmem.Zero_engine.take_zeroed z);
   PM.write mem ~addr:(Frame.to_addr 5) "junk";
-  Physmem.Zero_engine.put_dirty z [ 5; 6 ];
+  Physmem.Zero_engine.put_dirty z 5;
+  Physmem.Zero_engine.put_dirty z 6;
   check_int "pending" 2 (Physmem.Zero_engine.pending z);
   check_int "zeroed two" 2 (Physmem.Zero_engine.background_step z ~budget_frames:10);
   check_int "available" 2 (Physmem.Zero_engine.available z);
   check_bool "frame 5 clean" true (PM.frame_is_zero mem 5);
-  check_bool "handout" true (Physmem.Zero_engine.take_zeroed z = Some 5)
+  check_int "handout" 5 (Physmem.Zero_engine.take_zeroed z)
 
 let test_zero_engine_budget () =
   let mem = mk_mem () in
   let z = Physmem.Zero_engine.create mem in
-  Physmem.Zero_engine.put_dirty z [ 1; 2; 3; 4 ];
+  Physmem.Zero_engine.put_dirty_range z ~first:1 ~count:4;
   check_int "partial" 3 (Physmem.Zero_engine.background_step z ~budget_frames:3);
   check_int "left pending" 1 (Physmem.Zero_engine.pending z)
+
+(* The engine's two rings against two [Queue]s: same handout order, same
+   depths, across ring growth and wrap-around. *)
+type zop = Put of int | Put_range of int * int | Step of int | Take
+
+let prop_zero_engine_vs_queues =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_bound 300)
+        (frequency
+           [
+             (4, map (fun f -> Put f) (int_bound 999));
+             (1, map2 (fun f n -> Put_range (f, n)) (int_bound 999) (int_bound 40));
+             (3, map (fun b -> Step b) (int_bound 12));
+             (4, return Take);
+           ]))
+  in
+  qtest "zero engine rings == queue model" ~count:200 gen (fun ops ->
+      let z = Physmem.Zero_engine.create (mk_mem ()) in
+      let dirty = Queue.create () and zeroed = Queue.create () in
+      List.iter
+        (fun op ->
+          (match op with
+          | Put f ->
+            Physmem.Zero_engine.put_dirty z f;
+            Queue.add f dirty
+          | Put_range (first, count) ->
+            Physmem.Zero_engine.put_dirty_range z ~first ~count;
+            for f = first to first + count - 1 do
+              Queue.add f dirty
+            done
+          | Step budget_frames ->
+            let n = Physmem.Zero_engine.background_step z ~budget_frames in
+            let want = min budget_frames (Queue.length dirty) in
+            for _ = 1 to want do
+              Queue.add (Queue.pop dirty) zeroed
+            done;
+            if n <> want then QCheck2.Test.fail_reportf "step zeroed %d, model %d" n want
+          | Take ->
+            let got = Physmem.Zero_engine.take_zeroed z in
+            let want =
+              match Queue.take_opt zeroed with Some f -> f | None -> Physmem.Zero_engine.no_frame
+            in
+            if got <> want then QCheck2.Test.fail_reportf "took %d, model %d" got want);
+          if Physmem.Zero_engine.pending z <> Queue.length dirty then
+            QCheck2.Test.fail_reportf "pending %d, model %d" (Physmem.Zero_engine.pending z)
+              (Queue.length dirty);
+          if Physmem.Zero_engine.available z <> Queue.length zeroed then
+            QCheck2.Test.fail_reportf "available %d, model %d" (Physmem.Zero_engine.available z)
+              (Queue.length zeroed))
+        ops;
+      (* Drain both: the tails must match too. *)
+      ignore (Physmem.Zero_engine.background_step z ~budget_frames:max_int);
+      Queue.transfer dirty zeroed;
+      Queue.fold (fun ok f -> ok && Physmem.Zero_engine.take_zeroed z = f) true zeroed
+      && Physmem.Zero_engine.take_zeroed z = Physmem.Zero_engine.no_frame)
 
 let test_bulk_erase_constant_cost () =
   let mem = mk_mem () in
@@ -643,4 +700,5 @@ let suite =
     prop_zero_then_read_zero;
     prop_differential;
     Alcotest.test_case "phys_mem: generator reaches promotion" `Quick test_generator_promotes;
+    prop_zero_engine_vs_queues;
   ]

@@ -73,7 +73,7 @@ let test_span_outcome_and_exception () =
 let test_disabled_sentinel () =
   let tr = Sim.Trace.disabled in
   check_bool "disabled" false (Sim.Trace.enabled tr);
-  Sim.Trace.record tr ~op:"x" ~start:0 ();
+  Sim.Trace.record tr ~op:"x" ~start:0 ~arg:0 ();
   check_int "record is a no-op" 0 (Sim.Trace.recorded tr);
   check_int "span still runs f" 9 (Sim.Trace.span tr ~op:"x" (fun () -> 9));
   check_int "no events" 0 (List.length (Sim.Trace.events tr))
@@ -164,7 +164,7 @@ let test_ring_fields_after_wrap () =
   Sim.Trace.reset tr;
   check_bool "reset empties the ring" true (Sim.Trace.events tr = []);
   check_int "reset zeroes recorded" 0 (Sim.Trace.recorded tr);
-  Sim.Trace.record tr ~op:"again" ~start:(Sim.Clock.now clock) ();
+  Sim.Trace.record tr ~op:"again" ~start:(Sim.Clock.now clock) ~arg:0 ();
   check_bool "numbering restarts at 0" true
     (List.map (fun e -> (e.Sim.Trace.seq, e.Sim.Trace.op)) (Sim.Trace.events tr) = [ (0, "again") ])
 
