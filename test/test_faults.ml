@@ -145,6 +145,18 @@ let test_explore_fs_every_step () =
   check_int "one crash per step" r.O1mem.Chaos.steps r.O1mem.Chaos.crashes;
   Alcotest.(check (list string)) "no violations" [] r.O1mem.Chaos.violations
 
+(* The explorers at the bench seeds (bench/exp_faults.ml), pinned so a
+   change to a workload or to the explorer cannot move them silently. *)
+let test_explorers_pinned () =
+  let pin label (steps, fences, crashes) r =
+    check_int (label ^ " steps") steps r.O1mem.Chaos.steps;
+    check_int (label ^ " fences") fences r.O1mem.Chaos.fences;
+    check_int (label ^ " crashes") crashes r.O1mem.Chaos.crashes;
+    Alcotest.(check (list string)) (label ^ " violations") [] r.O1mem.Chaos.violations
+  in
+  pin "wal" (30, 12, 30) (O1mem.Chaos.explore_wal ~records:6 ~seed:7 ());
+  pin "fs" (40, 16, 40) (O1mem.Chaos.explore_fs ~files:4 ~seed:11 ())
+
 (* -------------------------- invariant checker ------------------------ *)
 
 let test_check_clean_after_fork_and_fom () =
@@ -338,4 +350,5 @@ let suite =
     Alcotest.test_case "plans: outcomes and verdicts" `Slow test_run_plan_outcomes;
     Alcotest.test_case "plane: zero cost when off" `Quick test_injection_zero_cost_when_off;
     Alcotest.test_case "crash: gauges re-baselined" `Quick test_crash_rebaselines_gauges;
+    Alcotest.test_case "explorer: bench seeds pinned" `Quick test_explorers_pinned;
   ]

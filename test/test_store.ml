@@ -431,6 +431,16 @@ let test_explorer_exhaustive () =
   check_bool "torn arm detected damage" true (r.SC.torn_detections >= 1);
   check_bool "flip arm detected damage" true (r.SC.flip_detections >= 1)
 
+(* The explorer at the bench seed (bench/exp_store.ml), pinned. *)
+let test_explorer_pinned () =
+  let r = SC.explore_store ~keys:6 ~txns:3 ~seed:17 () in
+  check_int "steps" 92 r.SC.steps;
+  check_int "fences" 38 r.SC.fences;
+  check_int "crashes" 100 r.SC.crashes;
+  check_int "torn detections" 7 r.SC.torn_detections;
+  check_int "flip detections" 9 r.SC.flip_detections;
+  Alcotest.(check (list string)) "no violations" [] r.SC.violations
+
 let test_store_plan () =
   let o = SC.run_plan ~seed:3 ~rounds:10 () in
   check_string "plan name" "store" o.O1mem.Chaos.plan;
@@ -467,4 +477,5 @@ let suite =
     prop_torn_wal_byte;
     Alcotest.test_case "explorer: crash at every boundary" `Slow test_explorer_exhaustive;
     Alcotest.test_case "store fault plan" `Quick test_store_plan;
+    Alcotest.test_case "explorer: bench seed pinned" `Quick test_explorer_pinned;
   ]
