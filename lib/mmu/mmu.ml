@@ -151,10 +151,12 @@ let flush_tlbs t =
    [tlb_ack_lost] fault drops the handler and the ack — the victim core
    keeps its stale entries, which only [Os.Check] can catch. The send is
    charged whether or not the ack comes back. *)
+let remote_cached t = t.cpumask land lnot (1 lsl t.core) <> 0
+
 let ipi_round t f =
   (* Skip (and don't open a span) when no *other* core has this address
      space cached: the loop below would do nothing. *)
-  if t.cpumask land lnot (1 lsl t.core) <> 0 then
+  if remote_cached t then
   Sim.Trace.prof_span t.trace "ipi_round" @@ fun () ->
   let src = local t in
   let faults = Sim.Trace.faults t.trace in
@@ -191,9 +193,12 @@ let ipi_round t f =
     end
   done
 
+(* Per page on hot paths: test for a remote core before building the
+   IPI handler closure, so a one-core shootdown allocates nothing. *)
 let invalidate_page t ~va =
-  Tlb.invalidate_page (local t).Smp.tlb ~asid:t.asid ~va ();
-  ipi_round t (fun dst -> Tlb.invalidate_page dst.Smp.tlb ~asid:t.asid ~va ())
+  Tlb.invalidate_page (local t).Smp.tlb ~asid:t.asid ~va;
+  if remote_cached t then
+    ipi_round t (fun dst -> Tlb.invalidate_page dst.Smp.tlb ~asid:t.asid ~va)
 
 (* Range-table bases falling inside [va, va+len): each needs its own
    range-TLB shootdown alongside the page-TLB range invalidate. *)

@@ -158,8 +158,7 @@ let drop_slot t ~asid va size =
     gauge_delta t (-1)
   end
 
-let invalidate_page t ?(asid = 0) ~va () =
-  pspan t "tlb_shootdown" @@ fun () ->
+let invalidate_page_unprofiled t ~asid ~va =
   let start = Sim.Clock.now t.clock in
   Sim.Clock.charge t.clock (Sim.Cost_model.shootdown_cost (model t));
   count_shootdown t 1;
@@ -167,6 +166,11 @@ let invalidate_page t ?(asid = 0) ~va () =
   drop_slot t ~asid va Page_size.Huge_2m;
   drop_slot t ~asid va Page_size.Huge_1g;
   Sim.Trace.record t.trace ~op:"tlb_shootdown" ~start ~arg:1 ()
+
+let invalidate_page t ~asid ~va =
+  if Sim.Profile.enabled (Sim.Trace.profile t.trace) then
+    pspan t "tlb_shootdown" (fun () -> invalidate_page_unprofiled t ~asid ~va)
+  else invalidate_page_unprofiled t ~asid ~va
 
 let iter t f =
   Array.iter

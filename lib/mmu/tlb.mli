@@ -60,9 +60,12 @@ val insert :
     per-access entry points: an optional one would cost a [Some] cell
     per call. *)
 
-val invalidate_page : t -> ?asid:int -> va:int -> unit -> unit
+val invalidate_page : t -> asid:int -> va:int -> unit
 (** Drop any entry of [asid] covering [va] (all page sizes probed);
-    charges the shootdown cost and bumps "tlb_shootdown". *)
+    charges the shootdown cost and bumps "tlb_shootdown". Allocates
+    nothing unless a profiler is attached: it runs per page on the
+    madvise, CoW and release paths, so [asid] is required like
+    {!lookup}'s. *)
 
 val invalidate_range : t -> ?asid:int -> va:int -> len:int -> unit -> unit
 (** Shoot down every entry of [asid] overlapping the range. For a range

@@ -379,6 +379,20 @@ let test_munmap_budget ~budget () =
   check_int "every PTE cleared" pages (Sim.Stats.get (K.stats k) "pte_clear");
   check_budget "munmap, per page" ~budget per_page
 
+(* With no other core caching the address space, a shootdown is one
+   local INVLPG: no IPI handler is built, no span opened unprofiled. *)
+let test_invalidate_page_alloc_free () =
+  let k = mk_kernel () in
+  let p = K.create_process k () in
+  let va = K.mmap_anon k p ~len:page ~prot:Hw.Prot.rw ~populate:true in
+  K.access k p ~va ~write:true;
+  let mmu = Os.Address_space.mmu p.Os.Proc.aspace in
+  let shootdowns = Sim.Stats.get (K.stats k) "tlb_shootdown" in
+  let inval () = Hw.Mmu.invalidate_page mmu ~va in
+  inval ();
+  check_zero "Mmu.invalidate_page, one core" (words_per_call inval);
+  check_int "every call counted" 1001 (Sim.Stats.get (K.stats k) "tlb_shootdown" - shootdowns)
+
 (* -------------------- durable-path allocation budgets --------------- *)
 
 let nvm_base mem = Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem)
@@ -505,4 +519,6 @@ let suite =
     Alcotest.test_case "alloc: zero-engine ring trip 0 words" `Quick
       test_zero_engine_ring_alloc_free;
     Alcotest.test_case "alloc: buddy order-0 alloc <= 8 words" `Quick test_buddy_alloc_budget;
+    Alcotest.test_case "alloc: TLB shootdown on one core 0 words" `Quick
+      test_invalidate_page_alloc_free;
   ]

@@ -245,7 +245,7 @@ let test_tlb_invalidate () =
   let tlb, _, _ = mk_tlb () in
   Hw.Tlb.insert tlb ~asid:0 ~va:0x1000 ~pfn:1 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
   Hw.Tlb.insert tlb ~asid:0 ~va:0x2000 ~pfn:2 ~prot:Hw.Prot.rw ~size:Hw.Page_size.Small;
-  Hw.Tlb.invalidate_page tlb ~va:0x1000 ();
+  Hw.Tlb.invalidate_page tlb ~asid:0 ~va:0x1000;
   check_bool "gone" false (hit tlb ~va:0x1000);
   check_bool "other survives" true (hit tlb ~va:0x2000);
   Hw.Tlb.invalidate_range tlb ~va:0 ~len:(Sim.Units.mib 1) ();
