@@ -70,12 +70,13 @@ timeline:
 critical-path:
 	dune exec bin/o1mem_cli.exe -- critical-path
 
-# R1/R2 chaos matrix: crash-at-every-step explorers (WAL, FOM fs, and
-# the persistent store with its torn/flip damage arms) plus every named
-# fault plan under a fixed seed matrix, then the store end-to-end
-# crash/recovery demo. Exit 1 on any unexpected invariant violation
-# (see EXPERIMENTS.md "R1 — does it survive?" and "R2 — does the store
-# survive?"). CI runs this.
+# R1/R2 chaos matrix: the shared crash explorer over its three subjects
+# (WAL, FOM fs, and the persistent store with its torn/flip damage
+# arms), crashing at every durable step of each workload and of its
+# recovery, plus every named fault plan under a fixed seed matrix, then
+# the store end-to-end crash/recovery demo. Exit 1 on any unexpected
+# invariant violation (see EXPERIMENTS.md "R1 — does it survive?" and
+# "R2 — does the store survive?"). CI runs this.
 chaos:
 	dune exec bin/o1mem_cli.exe -- faults --seed 42 --plan each --explore
 	dune exec bin/o1mem_cli.exe -- faults --seed 7 --plan each

@@ -77,8 +77,8 @@ type results = {
   cycles_off : int;
   cycles_on : int;
   degradation : O1mem.Chaos.plan_outcome;
-  wal : O1mem.Chaos.explorer_report;
-  fs : O1mem.Chaos.explorer_report;
+  wal : O1mem.Chaos.report;
+  fs : O1mem.Chaos.report;
 }
 
 let results =
@@ -93,15 +93,6 @@ let results =
        wal = O1mem.Chaos.explore_wal ~records:6 ~seed:7 ();
        fs = O1mem.Chaos.explore_fs ~files:4 ~seed:11 ();
      })
-
-let explorer_json (r : O1mem.Chaos.explorer_report) =
-  Sim.Json.Obj
-    [
-      ("steps", Sim.Json.Int r.O1mem.Chaos.steps);
-      ("fences", Sim.Json.Int r.O1mem.Chaos.fences);
-      ("crashes", Sim.Json.Int r.O1mem.Chaos.crashes);
-      ("violations", Sim.Json.Int (List.length r.O1mem.Chaos.violations));
-    ]
 
 let to_json () =
   let r = Lazy.force results in
@@ -137,7 +128,8 @@ let to_json () =
             ("violations", Sim.Json.Int (List.length r.degradation.O1mem.Chaos.checks));
           ] );
       ( "explorer",
-        Sim.Json.Obj [ ("wal", explorer_json r.wal); ("fs", explorer_json r.fs) ] );
+        Sim.Json.Obj
+          [ ("wal", O1mem.Chaos.report_to_json r.wal); ("fs", O1mem.Chaos.report_to_json r.fs) ] );
     ]
 
 let run () =
@@ -173,14 +165,12 @@ let run () =
     [
       "WAL crash explorer";
       Printf.sprintf "%d steps, %d crashes" r.wal.O1mem.Chaos.steps r.wal.O1mem.Chaos.crashes;
-      (if r.wal.O1mem.Chaos.violations = [] && r.wal.O1mem.Chaos.steps > 0 then "recovered: ok"
-       else "VIOLATIONS");
+      (if r.wal.O1mem.Chaos.violations = [] then "recovered: ok" else "VIOLATIONS");
     ];
   Sim.Table.add_row t
     [
       "FS crash explorer";
       Printf.sprintf "%d steps, %d crashes" r.fs.O1mem.Chaos.steps r.fs.O1mem.Chaos.crashes;
-      (if r.fs.O1mem.Chaos.violations = [] && r.fs.O1mem.Chaos.steps > 0 then "recovered: ok"
-       else "VIOLATIONS");
+      (if r.fs.O1mem.Chaos.violations = [] then "recovered: ok" else "VIOLATIONS");
     ];
   print_string (Sim.Table.render t)

@@ -1,25 +1,130 @@
 (* Crash-at-every-step exploration and named fault plans.
 
-   The explorers lean on one property of the injection plane: an unarmed
-   site still counts its evaluations. A first pass runs the workload to
-   completion with ["durable_step"] unarmed, which enumerates every
-   clwb/sfence boundary the workload crosses; the explorer then replays
-   the workload once per boundary with [On_nth k] armed, crashes the
-   machine at that exact point, recovers, and checks invariants. Every
-   pass uses the same seed, so the k-th replay is byte-identical to the
-   baseline up to the crash. *)
+   One explorer serves every persistent component, which plugs in as a
+   [Subject]. It leans on one property of the injection plane: an
+   unarmed site still counts its evaluations. Pass 0 runs the workload
+   to completion with ["durable_step"] unarmed, which enumerates every
+   clwb/sfence boundary the workload crosses; it then loses power,
+   recovers and counts the boundaries recovery itself crosses. The
+   explorer replays the workload once per boundary with [On_nth k]
+   armed, crashes the machine at that exact point, recovers, and asks
+   the subject's oracle. Every pass uses the same seed, so the k-th
+   replay is identical to pass 0 up to the crash. *)
 
 module FI = Sim.Fault_inject
 
-type explorer_report = {
+type report = {
   steps : int;
   fences : int;
   crashes : int;
+  recovery_steps : int;
+  detections : (string * int) list;
   violations : string list;
 }
 
-let add violations k msg =
-  violations := Printf.sprintf "step %d: %s" k msg :: !violations
+type damage = { label : string; site : string; p : float; salt : int }
+
+module type Subject = sig
+  type t
+
+  val create : seed:int -> t
+  val plane : t -> FI.t
+  val stats : t -> Sim.Stats.t
+  val run : t -> mark:(unit -> unit) -> unit
+  val recover : t -> unit
+  val check : t -> fail:(string -> unit) -> unit
+  val damage : damage list
+  val check_damaged : t -> fail:(string -> unit) -> int
+end
+
+let explore (module S : Subject) ~seed =
+  let violations = ref [] in
+  let fail where k msg = violations := Printf.sprintf "%sstep %d: %s" where k msg :: !violations in
+  let evals m = FI.evaluations (S.plane m) ~site:FI.site_durable_step in
+  let sfences m = Sim.Stats.get (S.stats m) "sfence" in
+  let crashed f = match f () with () -> false | exception FI.Injected_crash _ -> true in
+  let replay ~seed k =
+    let m = S.create ~seed in
+    FI.arm (S.plane m) ~site:FI.site_durable_step (FI.On_nth k);
+    m
+  in
+  (* Pass 0: the window opens at [mark] (or at the start) and closes
+     when the workload ends; then one clean crash after the workload. *)
+  let m0 = S.create ~seed in
+  let first = ref 0 and fence0 = ref 0 in
+  S.run m0 ~mark:(fun () ->
+      first := evals m0;
+      fence0 := sfences m0);
+  let last = evals m0 in
+  let steps = last - !first and fences = sfences m0 - !fence0 in
+  if steps = 0 then fail "" 0 "the workload crossed no durable step";
+  S.recover m0;
+  let recovery_steps = evals m0 - last in
+  S.check m0 ~fail:(fail "" 0);
+  (* A replay that loses power at window boundary [k]; [arm] adds damage. *)
+  let crashes = ref 0 in
+  let crash_at ~seed ~arm k =
+    let m = replay ~seed k in
+    arm (S.plane m);
+    incr crashes;
+    if not (crashed (fun () -> S.run m ~mark:ignore)) then fail "" k "durable step never fired";
+    m
+  in
+  for k = !first + 1 to last do
+    let m = crash_at ~seed ~arm:ignore k in
+    S.recover m;
+    S.check m ~fail:(fail "" k)
+  done;
+  (* Crash inside recovery: the workload completes, power fails, and
+     fails again at the j-th boundary recovery crosses. Recovering once
+     more must give what one clean recovery gives. *)
+  for j = 1 to recovery_steps do
+    let m = replay ~seed (last + j) in
+    if crashed (fun () -> S.run m ~mark:ignore) || not (crashed (fun () -> S.recover m)) then
+      fail "recovery " j "the crash missed recovery";
+    S.recover m;
+    S.check m ~fail:(fail "recovery " j)
+  done;
+  (* Damage arms: the site fires while the workload runs, then power
+     fails at sampled boundaries. Losses are allowed; undetected damage
+     is not. *)
+  let run_arm d =
+    let found = ref 0 in
+    let pass ~stride ~p ~salt =
+      let k = ref (!first + 1) in
+      while !k <= last do
+        (* A fresh plane seed per boundary: with a shared seed every run
+           draws the same damage pattern, and one unlucky trajectory
+           (all damage healed by later flushes or the redo pass) would
+           blind the whole arm. *)
+        let arm plane = FI.arm plane ~site:d.site (FI.Prob p) in
+        let m = crash_at ~seed:(seed + (salt * !k)) ~arm !k in
+        (* The damage happened while power was on; recovery itself runs
+           on healthy hardware. *)
+        FI.disarm (S.plane m) ~site:d.site;
+        FI.disarm (S.plane m) ~site:FI.site_durable_step;
+        S.recover m;
+        found := !found + S.check_damaged m ~fail:(fail "" !k);
+        k := !k + stride
+      done
+    in
+    pass ~stride:(max 1 (steps / 4)) ~p:d.p ~salt:d.salt;
+    (* Damage can legitimately land only on lines a later flush or the
+       recovery redo pass rewrites; escalate (denser boundaries, hotter
+       injection, new seeds) before concluding the detectors are blind. *)
+    if !found = 0 then pass ~stride:(max 1 (steps / 8)) ~p:(min 0.9 (3.0 *. d.p)) ~salt:1009;
+    if !found = 0 then fail "" 0 (d.label ^ " arm: no crash produced a detected loss");
+    (d.label, !found)
+  in
+  let detections = List.map run_arm S.damage in
+  { steps; fences; crashes = !crashes; recovery_steps; detections; violations = List.rev !violations }
+
+let report_to_json r =
+  let int n = Sim.Json.Int n in
+  Sim.Json.Obj
+    ([ ("steps", int r.steps); ("fences", int r.fences); ("crashes", int r.crashes) ]
+    @ List.map (fun (arm, n) -> (arm ^ "_detections", int n)) r.detections
+    @ [ ("violations", int (List.length r.violations)) ])
 
 let rec is_prefix xs ys =
   match (xs, ys) with
@@ -27,8 +132,25 @@ let rec is_prefix xs ys =
   | x :: xs', y :: ys' -> String.equal x y && is_prefix xs' ys'
   | _ :: _, [] -> false
 
+let chaos_config =
+  {
+    Os.Kernel.default_config with
+    Os.Kernel.dram_bytes = Sim.Units.mib 8;
+    nvm_bytes = Sim.Units.mib 8;
+    (* SMP so a lost shootdown ack has a victim: the tlb plan migrates
+       between access and unmap, making the IPI round target a remote
+       core that really caches the pages. *)
+    cores = 4;
+  }
+
+let machine ~seed =
+  let kernel = Os.Kernel.create ~config:chaos_config () in
+  let plane = FI.create ~seed ~stats:(Os.Kernel.stats kernel) () in
+  Sim.Trace.attach_faults (Os.Kernel.trace kernel) plane;
+  (kernel, Fom.create kernel (), plane)
+
 (* ------------------------------------------------------------------ *)
-(* WAL explorer: a bare NVM machine, no kernel.                        *)
+(* WAL subject: a bare NVM machine, no kernel.                         *)
 (* ------------------------------------------------------------------ *)
 
 let wal_capacity = Sim.Units.kib 16
@@ -44,189 +166,157 @@ let wal_payloads ~records ~seed =
   done;
   List.rev !acc
 
-let wal_machine ~seed =
-  let clock = Sim.Clock.create Sim.Cost_model.default in
-  let stats = Sim.Stats.create () in
-  let trace = Sim.Trace.create ~clock () in
-  let mem =
-    Physmem.Phys_mem.create ~clock ~stats ~trace ~dram_bytes:(Sim.Units.mib 1)
-      ~nvm_bytes:(Sim.Units.mib 1) ()
-  in
-  let nvm = Physmem.Nvm.create mem in
-  let base = Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem) in
-  let plane = FI.create ~seed ~stats () in
-  Sim.Trace.attach_faults trace plane;
-  (plane, stats, nvm, base)
-
 let explore_wal ?(records = 6) ?(seed = 7) () =
   let payloads = wal_payloads ~records ~seed in
-  let append_all wal =
-    List.iter
-      (fun p ->
-        match Fs.Wal.append wal p with
-        | Ok () -> ()
-        | Error Fs.Wal.Wal_full ->
-          invalid_arg "Chaos.explore_wal: workload exceeds the WAL capacity")
-      payloads
-  in
-  (* Pass 0: enumerate the durable-step boundaries. *)
-  let plane0, stats0, nvm0, base0 = wal_machine ~seed in
-  let wal0 = Fs.Wal.create ~nvm:nvm0 ~base:base0 ~capacity:wal_capacity in
-  append_all wal0;
-  let steps = FI.evaluations plane0 ~site:FI.site_durable_step in
-  let fences = Sim.Stats.get stats0 "sfence" in
-  let attempted = Fs.Wal.entries wal0 in
-  let violations = ref [] in
-  for k = 1 to steps do
-    let plane, _, nvm, base = wal_machine ~seed in
-    FI.arm plane ~site:FI.site_durable_step (FI.On_nth k);
-    let wal = Fs.Wal.create ~nvm ~base ~capacity:wal_capacity in
-    let committed = ref [] in
-    let crashed =
-      try
-        List.iter
-          (fun p ->
-            match Fs.Wal.append wal p with
-            | Ok () -> committed := p :: !committed
-            | Error Fs.Wal.Wal_full -> ())
-          payloads;
-        false
-      with FI.Injected_crash _ -> true
-    in
-    if not crashed then add violations k "durable step never fired";
-    Physmem.Nvm.crash nvm;
-    let back = Fs.Wal.recover ~nvm ~base ~capacity:wal_capacity in
-    let recovered = Fs.Wal.entries back in
-    let committed = List.rev !committed in
-    (* Committed-prefix durability: every acknowledged append survives.
-       Recovery may additionally keep the in-flight record when the
-       crash hit the post-marker fence — the record was durable, only
-       the acknowledgement was lost — which is why [recovered] may run
-       one past [committed]. *)
-    if not (is_prefix committed recovered) then
-      add violations k
-        (Printf.sprintf "acknowledged record lost (committed %d, recovered %d)"
-           (List.length committed) (List.length recovered));
-    (* No torn record: whatever recovery kept is a clean prefix of what
-       the workload wrote, byte for byte. *)
-    if not (is_prefix recovered attempted) then
-      add violations k
-        (Printf.sprintf "recovered log torn or reordered (%d records)"
-           (List.length recovered));
-    (* The recovered log must remain usable. *)
-    (match Fs.Wal.append back "post-recovery" with
-    | Ok () | Error Fs.Wal.Wal_full -> ())
-  done;
-  { steps; fences; crashes = steps; violations = List.rev !violations }
+  let module S = struct
+    (* [acked] is newest first; [back] is the log recovery rebuilt. *)
+    type t = {
+      plane : FI.t;
+      stats : Sim.Stats.t;
+      nvm : Physmem.Nvm.t;
+      base : int;
+      mutable acked : string list;
+      mutable back : Fs.Wal.t option;
+    }
+
+    let create ~seed =
+      let clock = Sim.Clock.create Sim.Cost_model.default in
+      let stats = Sim.Stats.create () in
+      let trace = Sim.Trace.create ~clock () in
+      let mem =
+        Physmem.Phys_mem.create ~clock ~stats ~trace ~dram_bytes:(Sim.Units.mib 1)
+          ~nvm_bytes:(Sim.Units.mib 1) ()
+      in
+      let plane = FI.create ~seed ~stats () in
+      Sim.Trace.attach_faults trace plane;
+      let base = Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem) in
+      { plane; stats; nvm = Physmem.Nvm.create mem; base; acked = []; back = None }
+
+    let plane m = m.plane
+    let stats m = m.stats
+
+    let run m ~mark:_ =
+      let wal = Fs.Wal.create ~nvm:m.nvm ~base:m.base ~capacity:wal_capacity in
+      List.iter
+        (fun p ->
+          match Fs.Wal.append wal p with
+          | Ok () -> m.acked <- p :: m.acked
+          | Error Fs.Wal.Wal_full ->
+            invalid_arg "Chaos.explore_wal: workload exceeds the WAL capacity")
+        payloads
+
+    let recover m =
+      Physmem.Nvm.crash m.nvm;
+      m.back <- Some (Fs.Wal.recover ~nvm:m.nvm ~base:m.base ~capacity:wal_capacity)
+
+    let check m ~fail =
+      let back = Option.get m.back in
+      let recovered = Fs.Wal.entries back and acked = List.rev m.acked in
+      (* Committed-prefix durability: every acknowledged append survives.
+         Recovery may additionally keep the in-flight record when the
+         crash hit the post-marker fence — the record was durable, only
+         the acknowledgement was lost — which is why [recovered] may run
+         one past [acked]. *)
+      if not (is_prefix acked recovered) then
+        fail
+          (Printf.sprintf "acknowledged record lost (committed %d, recovered %d)"
+             (List.length acked) (List.length recovered));
+      (* No torn record: whatever recovery kept is a clean prefix of what
+         the workload wrote, byte for byte. *)
+      if not (is_prefix recovered payloads) then
+        fail (Printf.sprintf "recovered log torn or reordered (%d records)" (List.length recovered));
+      (* The recovered log must remain usable. *)
+      ignore (Fs.Wal.append back "post-recovery")
+
+    let damage = []
+    let check_damaged _ ~fail:_ = 0
+  end in
+  explore (module S) ~seed
 
 (* ------------------------------------------------------------------ *)
-(* File-system explorer: kernel + FOM, crash inside journaled ops.     *)
+(* File-system subject: kernel + FOM, crash inside journaled ops.      *)
 (* ------------------------------------------------------------------ *)
-
-let chaos_config =
-  {
-    Os.Kernel.default_config with
-    Os.Kernel.dram_bytes = Sim.Units.mib 8;
-    nvm_bytes = Sim.Units.mib 8;
-    (* SMP so a lost shootdown ack has a victim: the tlb plan migrates
-       between access and unmap, making the IPI round target a remote
-       core that really caches the pages. *)
-    cores = 4;
-  }
-
-let fom_machine ~seed =
-  let kernel = Os.Kernel.create ~config:chaos_config () in
-  let plane = FI.create ~seed ~stats:(Os.Kernel.stats kernel) () in
-  Sim.Trace.attach_faults (Os.Kernel.trace kernel) plane;
-  let fom = Fom.create kernel () in
-  (kernel, fom, plane)
 
 let fs_payload i = Printf.sprintf "chaos-%02d" i
 
-(* Alternate persistent named files and volatile temporaries; [made]
-   records each region the moment its data write completed, so a crash
-   mid-allocation leaves the in-flight file untracked (recovery may
-   legitimately keep or drop it). *)
-let fs_workload ~files (kernel, fom) made =
-  let proc = Os.Kernel.create_process kernel () in
-  for i = 1 to files do
-    let persistent = i mod 2 = 1 in
-    let r =
-      if persistent then
-        Fom.alloc fom proc ~name:(Printf.sprintf "/chaos%d" i)
-          ~persistence:Fs.Inode.Persistent ~len:(Sim.Units.kib 16)
-          ~prot:Hw.Prot.rw ()
-      else Fom.alloc fom proc ~len:(Sim.Units.kib 16) ~prot:Hw.Prot.rw ()
-    in
-    Fs.Memfs.write_file (Fom.fs fom) r.Fom.ino ~off:0 (fs_payload i);
-    made := (r, persistent, i) :: !made
-  done
-
 let explore_fs ?(files = 5) ?(seed = 11) () =
-  (* Pass 0: run to completion, counting durable boundaries. *)
-  let kernel0, fom0, plane0 = fom_machine ~seed in
-  let made0 = ref [] in
-  fs_workload ~files (kernel0, fom0) made0;
-  let steps = FI.evaluations plane0 ~site:FI.site_durable_step in
-  let fences = Sim.Stats.get (Os.Kernel.stats kernel0) "sfence" in
-  let violations = ref [] in
-  for k = 1 to steps do
-    let kernel, fom, plane = fom_machine ~seed in
-    FI.arm plane ~site:FI.site_durable_step (FI.On_nth k);
-    let made = ref [] in
-    let crashed =
-      try
-        fs_workload ~files (kernel, fom) made;
-        false
-      with FI.Injected_crash _ -> true
-    in
-    if not crashed then add violations k "durable step never fired";
-    let masters_before = Shared_pt.master_count (Fom.shared_pt fom) in
-    let report = Persistence.crash_and_recover fom in
-    (* Master pruning is total: every pre-crash master was either kept
-       (its file survived) or dropped, and a second prune finds nothing
-       — masters are pruned iff their file died, exactly once. *)
-    if report.Persistence.masters_kept + report.Persistence.masters_dropped
-       <> masters_before
-    then
-      add violations k
-        (Printf.sprintf "master accounting: %d before, %d kept + %d dropped"
-           masters_before report.Persistence.masters_kept
-           report.Persistence.masters_dropped);
-    if Shared_pt.prune_dead (Fom.shared_pt fom) ~fs:(Fom.fs fom) <> 0 then
-      add violations k "recovery left masters pointing at dead files";
-    let fs = Fom.fs fom in
-    List.iter
-      (fun (r, persistent, i) ->
-        match (Fs.Memfs.lookup fs r.Fom.path, persistent) with
-        | Some ino, true ->
-          let want = fs_payload i in
-          let got =
-            Bytes.to_string
-              (Fs.Memfs.read_file fs ino ~off:0 ~len:(String.length want))
-          in
-          if not (String.equal got want) then
-            add violations k
-              (Printf.sprintf "persistent %s corrupted (%S <> %S)" r.Fom.path
-                 got want)
-        | None, true ->
-          add violations k
-            (Printf.sprintf "persistent %s lost by recovery" r.Fom.path)
-        | Some _, false ->
-          add violations k
-            (Printf.sprintf "volatile %s survived recovery" r.Fom.path)
-        | None, false -> ())
-      (List.rev !made);
-    (match Os.Check.run kernel with
-    | [] -> ()
-    | vs ->
-      List.iter (fun v -> add violations k (Os.Check.violation_to_string v)) vs);
-    (* Graceful continuation: the recovered machine still allocates. *)
-    let p2 = Os.Kernel.create_process kernel () in
-    let r2 = Fom.alloc fom p2 ~len:(Sim.Units.kib 4) ~prot:Hw.Prot.rw () in
-    Fom.free fom p2 r2
-  done;
-  { steps; fences; crashes = steps; violations = List.rev !violations }
+  let module S = struct
+    (* [made] is newest first; [masters] is the master count when power
+       failed, [report] what the last recovery said. *)
+    type t = {
+      kernel : Os.Kernel.t;
+      fom : Fom.t;
+      plane : FI.t;
+      mutable made : (Fom.region * bool * int) list;
+      mutable masters : int;
+      mutable report : Persistence.report option;
+    }
+
+    let create ~seed =
+      let kernel, fom, plane = machine ~seed in
+      { kernel; fom; plane; made = []; masters = 0; report = None }
+
+    let plane m = m.plane
+    let stats m = Os.Kernel.stats m.kernel
+
+    (* Alternate persistent named files and volatile temporaries; [made]
+       records each region the moment its data write completed, so a
+       crash mid-allocation leaves the in-flight file untracked (recovery
+       may legitimately keep or drop it). *)
+    let run m ~mark:_ =
+      let proc = Os.Kernel.create_process m.kernel () in
+      for i = 1 to files do
+        let persistent = i mod 2 = 1 in
+        let r =
+          if persistent then
+            Fom.alloc m.fom proc ~name:(Printf.sprintf "/chaos%d" i)
+              ~persistence:Fs.Inode.Persistent ~len:(Sim.Units.kib 16) ~prot:Hw.Prot.rw ()
+          else Fom.alloc m.fom proc ~len:(Sim.Units.kib 16) ~prot:Hw.Prot.rw ()
+        in
+        Fs.Memfs.write_file (Fom.fs m.fom) r.Fom.ino ~off:0 (fs_payload i);
+        m.made <- (r, persistent, i) :: m.made
+      done
+
+    let recover m =
+      m.masters <- Shared_pt.master_count (Fom.shared_pt m.fom);
+      m.report <- Some (Persistence.crash_and_recover m.fom)
+
+    let check m ~fail =
+      let { Persistence.masters_kept = kept; masters_dropped = dropped; _ } = Option.get m.report in
+      (* Master pruning is total: every pre-crash master was either kept
+         (its file survived) or dropped, and a second prune finds nothing
+         — masters are pruned iff their file died, exactly once. *)
+      if kept + dropped <> m.masters then
+        fail
+          (Printf.sprintf "master accounting: %d before, %d kept + %d dropped" m.masters kept
+             dropped);
+      let fs = Fom.fs m.fom in
+      if Shared_pt.prune_dead (Fom.shared_pt m.fom) ~fs <> 0 then
+        fail "recovery left masters pointing at dead files";
+      List.iter
+        (fun (r, persistent, i) ->
+          match (Fs.Memfs.lookup fs r.Fom.path, persistent) with
+          | Some ino, true ->
+            let want = fs_payload i in
+            let got =
+              Bytes.to_string (Fs.Memfs.read_file fs ino ~off:0 ~len:(String.length want))
+            in
+            if not (String.equal got want) then
+              fail (Printf.sprintf "persistent %s corrupted (%S <> %S)" r.Fom.path got want)
+          | None, true -> fail (Printf.sprintf "persistent %s lost by recovery" r.Fom.path)
+          | Some _, false -> fail (Printf.sprintf "volatile %s survived recovery" r.Fom.path)
+          | None, false -> ())
+        (List.rev m.made);
+      List.iter (fun v -> fail (Os.Check.violation_to_string v)) (Os.Check.run m.kernel);
+      (* Graceful continuation: the recovered machine still allocates. *)
+      let p2 = Os.Kernel.create_process m.kernel () in
+      let r2 = Fom.alloc m.fom p2 ~len:(Sim.Units.kib 4) ~prot:Hw.Prot.rw () in
+      Fom.free m.fom p2 r2
+
+    let damage = []
+    let check_damaged _ ~fail:_ = 0
+  end in
+  explore (module S) ~seed
 
 (* ------------------------------------------------------------------ *)
 (* Named fault plans: sustained probabilistic injection + degradation. *)
@@ -280,12 +370,8 @@ let arm_plan plane plan =
       (Printf.sprintf "Chaos.run_plan: unknown plan %S (expected one of %s)" p
          (String.concat ", " plans))
 
-let run_plan ?(seed = 1) ?(rounds = 16) ~plan () =
-  let kernel = Os.Kernel.create ~config:chaos_config () in
-  let plane = FI.create ~seed ~stats:(Os.Kernel.stats kernel) () in
-  Sim.Trace.attach_faults (Os.Kernel.trace kernel) plane;
-  arm_plan plane plan;
-  let fom = Fom.create kernel () in
+let run_guarded ~plan ~seed ~retried body =
+  let kernel, fom, plane = machine ~seed in
   let enomem = ref 0 and enospc = ref 0 in
   (* Typed errors are the degradation contract: anything else escaping
      a faulted operation is a real bug and propagates to the caller. *)
@@ -294,6 +380,24 @@ let run_plan ?(seed = 1) ?(rounds = 16) ~plan () =
     | Sim.Errno.Error (Sim.Errno.ENOMEM, _) -> incr enomem
     | Sim.Errno.Error (Sim.Errno.ENOSPC, _) -> incr enospc
   in
+  let checks = body kernel fom plane guard in
+  let stats = Os.Kernel.stats kernel in
+  {
+    plan;
+    seed;
+    sites = FI.totals plane;
+    injected_total = FI.injected_total plane;
+    enomem = !enomem;
+    enospc = !enospc;
+    retried = Sim.Stats.get stats retried;
+    reclaimed_frames = Sim.Stats.get stats "alloc_reclaimed_frames";
+    ooms = Sim.Stats.get stats "alloc_oom";
+    checks;
+  }
+
+let run_plan ?(seed = 1) ?(rounds = 16) ~plan () =
+  run_guarded ~plan ~seed ~retried:"alloc_retry_reclaim" @@ fun kernel fom plane guard ->
+  arm_plan plane plan;
   let p1 = Os.Kernel.create_process kernel () in
   let p2 = Os.Kernel.create_process kernel () in
   let cores = chaos_config.Os.Kernel.cores in
@@ -345,16 +449,4 @@ let run_plan ?(seed = 1) ?(rounds = 16) ~plan () =
           (Os.Kernel.access_range kernel hog ~va ~len ~write:true
              ~stride:Sim.Units.page_size)
       done);
-  let stats = Os.Kernel.stats kernel in
-  {
-    plan;
-    seed;
-    sites = FI.totals plane;
-    injected_total = FI.injected_total plane;
-    enomem = !enomem;
-    enospc = !enospc;
-    retried = Sim.Stats.get stats "alloc_retry_reclaim";
-    reclaimed_frames = Sim.Stats.get stats "alloc_reclaimed_frames";
-    ooms = Sim.Stats.get stats "alloc_oom";
-    checks = Os.Check.run kernel;
-  }
+  Os.Check.run kernel

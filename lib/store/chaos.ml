@@ -1,13 +1,11 @@
 (* Crash/torn-write exploration and the "store" fault plan.
 
-   Same discipline as O1mem.Chaos: pass 0 runs a deterministic mixed
-   put/delete/grow burst to completion with ["durable_step"] unarmed,
-   which enumerates every clwb/sfence/WAL boundary the burst crosses
-   (boundaries crossed by store creation and preload are excluded — the
-   interesting window is the burst). The explorer then replays the burst
-   once per boundary with [On_nth k] armed, loses power exactly there,
-   recovers through O1mem.Persistence (which runs the store's hooks),
-   and demands the committed-prefix state.
+   The store is a subject of O1mem.Chaos.explore. Its workload builds
+   the store, preloads and checkpoints it, then runs a deterministic
+   mixed put/delete/grow burst; the explored window is the burst
+   (boundaries crossed by creation and preload are excluded). Recovery
+   runs through O1mem.Persistence, which runs the store's hooks, and
+   the oracle demands the committed-prefix state.
 
    Two damage arms ride on sampled boundaries: torn lines and bit flips
    armed probabilistically while the burst runs. Those crashes may lose
@@ -17,33 +15,6 @@
    be one the workload actually wrote. *)
 
 module FI = Sim.Fault_inject
-
-type report = {
-  steps : int;
-  fences : int;
-  crashes : int;
-  torn_detections : int;
-  flip_detections : int;
-  violations : string list;
-}
-
-let add violations k msg = violations := Printf.sprintf "step %d: %s" k msg :: !violations
-
-(* O1mem.Chaos does not export its machine config; keep a copy in sync. *)
-let chaos_config =
-  {
-    Os.Kernel.default_config with
-    Os.Kernel.dram_bytes = Sim.Units.mib 8;
-    nvm_bytes = Sim.Units.mib 8;
-    cores = 4;
-  }
-
-let store_machine ~seed =
-  let kernel = Os.Kernel.create ~config:chaos_config () in
-  let plane = FI.create ~seed ~stats:(Os.Kernel.stats kernel) () in
-  Sim.Trace.attach_faults (Os.Kernel.trace kernel) plane;
-  let fom = O1mem.Fom.create kernel () in
-  (kernel, fom, plane)
 
 (* --- the deterministic workload ------------------------------------ *)
 
@@ -97,211 +68,124 @@ let mirror_states ~keys ~txns =
       if c > 0 then List.iter apply (ops_of_txn ~keys c);
       snap ())
 
-(* Every value ever written per key, for the damage arms: whatever the
-   recovered store returns must be one of these. *)
-let history ~keys ~txns =
-  let h = Hashtbl.create 16 in
-  let note = function
-    | W_put (k, v) ->
-      Hashtbl.replace h k (v :: (Option.value (Hashtbl.find_opt h k) ~default:[]))
-    | _ -> ()
-  in
-  List.iter note (preload_ops ~keys);
-  for c = 1 to txns do
-    List.iter note (ops_of_txn ~keys c)
-  done;
-  h
-
 let apply_store st = function
   | W_put (k, v) -> Kv.put st k v
   | W_delete k -> Kv.delete st k
   | W_set_root (r, k) -> Kv.set_root st r k
   | W_clear_root r -> Kv.clear_root st r
 
-(* Build the store, preload, checkpoint (calling [on_loaded] at the
-   boundary watermark), then run the burst; [acked] tracks acknowledged
-   commits so a crash replay knows which mirror to expect. *)
-let run_workload ~keys ~txns (kernel, fom) ~on_loaded ~acked ~store_out =
-  let proc = Os.Kernel.create_process kernel () in
-  let st = Kv.create fom proc ~name:"/kv" () in
-  store_out := Some st;
-  ignore (Kv.begin_txn st);
-  List.iter (apply_store st) (preload_ops ~keys);
-  Kv.commit st;
-  Kv.checkpoint st;
-  on_loaded ();
-  for c = 1 to txns do
-    ignore (Kv.begin_txn st);
-    List.iter (apply_store st) (ops_of_txn ~keys c);
-    Kv.commit st;
-    acked := c
-  done
-
 let state_of st =
   let objs = List.map (fun k -> (k, Option.get (Kv.get st k))) (Kv.keys st) in
   (objs, Kv.roots st)
 
-let state_eq (o1, r1) (o2, r2) =
-  List.length o1 = List.length o2
-  && List.for_all2 (fun (k1, v1) (k2, v2) -> k1 = k2 && String.equal v1 v2) o1 o2
-  && r1 = r2
-
 let describe (objs, roots) =
   Printf.sprintf "%d object(s), %d root(s)" (List.length objs) (List.length roots)
+
+let check_os kernel ~fail =
+  List.iter (fun v -> fail (Os.Check.violation_to_string v)) (Os.Check.run kernel)
 
 (* Post-recovery usability: the store must still accept transactions and
    serve fresh writes exactly. The full checksum sweep only applies to
    clean crashes — damage arms intentionally corrupt values, and their
    detection is counted through EIO reads instead. *)
-let probe_usable ?(verify = true) st violations k =
+let probe_usable st ~verify ~fail =
   ignore (Kv.begin_txn st);
   Kv.put st "probe" "post-recovery";
   Kv.commit st;
   (match Kv.get st "probe" with
   | Some "post-recovery" -> ()
-  | _ -> add violations k "recovered store does not serve a fresh write"
-  | exception _ -> add violations k "recovered store cannot serve a fresh write");
-  if verify then
-    match Kv.verify st with
-    | [] -> ()
-    | vs -> List.iter (fun v -> add violations k (Os.Check.violation_to_string v)) vs
-
-let check_os kernel violations k =
-  match Os.Check.run kernel with
-  | [] -> ()
-  | vs -> List.iter (fun v -> add violations k (Os.Check.violation_to_string v)) vs
+  | _ -> fail "recovered store does not serve a fresh write"
+  | exception _ -> fail "recovered store cannot serve a fresh write");
+  if verify then List.iter (fun v -> fail (Os.Check.violation_to_string v)) (Kv.verify st)
 
 let explore_store ?(keys = 6) ?(txns = 3) ?(seed = 17) () =
   if keys < 4 then invalid_arg "Chaos.explore_store: keys must be >= 4";
   let mirrors = mirror_states ~keys ~txns in
-  let hist = history ~keys ~txns in
-  (* Pass 0: enumerate the burst's durable boundaries. *)
-  let kernel0, fom0, plane0 = store_machine ~seed in
-  let e0 = ref 0 and f0 = ref 0 in
-  let acked0 = ref 0 and st0 = ref None in
-  run_workload ~keys ~txns (kernel0, fom0)
-    ~on_loaded:(fun () ->
-      e0 := FI.evaluations plane0 ~site:FI.site_durable_step;
-      f0 := Sim.Stats.get (Os.Kernel.stats kernel0) "sfence")
-    ~acked:acked0 ~store_out:st0;
-  let e1 = FI.evaluations plane0 ~site:FI.site_durable_step in
-  let fences = Sim.Stats.get (Os.Kernel.stats kernel0) "sfence" - !f0 in
-  (* Pass 0 must end in the final mirror, or the explorer proves nothing. *)
-  let violations = ref [] in
-  (match !st0 with
-  | Some st ->
-    if not (state_eq (state_of st) mirrors.(txns)) then
-      add violations 0
-        (Printf.sprintf "baseline mismatch: store has %s, mirror %s" (describe (state_of st))
-           (describe mirrors.(txns)));
-    Kv.detach st
-  | None -> add violations 0 "baseline workload built no store");
-  let steps = e1 - !e0 in
-  let crashes = ref 0 in
-  (* Clean power-loss at every burst boundary: the recovered state is the
-     committed prefix — mirror [acked], or [acked+1] when the crash fell
-     between the commit record becoming durable and the acknowledgement
-     (redo replays the in-flight transaction). *)
-  for k = !e0 + 1 to e1 do
-    let kernel, fom, plane = store_machine ~seed in
-    FI.arm plane ~site:FI.site_durable_step (FI.On_nth k);
-    let acked = ref 0 and store_out = ref None in
-    let crashed =
-      try
-        run_workload ~keys ~txns (kernel, fom) ~on_loaded:(fun () -> ()) ~acked ~store_out;
-        false
-      with FI.Injected_crash _ -> true
-    in
-    incr crashes;
-    if not crashed then add violations k "durable step never fired";
-    let report = O1mem.Persistence.crash_and_recover fom in
-    (match List.assoc_opt "store/kv" report.O1mem.Persistence.hook_records with
-    | Some _ -> ()
-    | None -> add violations k "recovery never ran the store hook");
-    (match !store_out with
-    | None -> add violations k "crash before the store existed (boundary accounting is off)"
-    | Some st ->
-      let got = state_of st in
-      let want = mirrors.(!acked) in
-      let next = if !acked < txns then Some mirrors.(!acked + 1) else None in
-      if not (state_eq got want || match next with Some n -> state_eq got n | None -> false) then
-        add violations k
-          (Printf.sprintf "recovered %s; committed prefix has %s (acked %d)" (describe got)
-             (describe want) !acked);
-      check_os kernel violations k;
-      probe_usable st violations k;
-      Kv.detach st)
-  done;
-  (* Damage arms: torn lines / bit flips active during the burst, crash at
-     sampled boundaries. Losses are allowed; *undetected* damage is not. *)
-  let torn_detections = ref 0 and flip_detections = ref 0 in
-  let damage_arm ~site ~p ~counter =
-    let pass ~stride ~p ~salt =
-    let boundary = ref (!e0 + 1) in
-    while !boundary <= e1 do
-      let k = !boundary in
-      boundary := !boundary + stride;
-      (* A fresh plane seed per boundary: with a shared seed every run
-         draws the same tear pattern, and one unlucky trajectory (all
-         damage healed by later flushes or the redo pass) would blind
-         the whole arm. *)
-      let kernel, fom, plane = store_machine ~seed:(seed + (salt * k)) in
-      FI.arm plane ~site:FI.site_durable_step (FI.On_nth k);
-      FI.arm plane ~site (FI.Prob p);
-      let acked = ref 0 and store_out = ref None in
-      let crashed =
-        try
-          run_workload ~keys ~txns (kernel, fom) ~on_loaded:(fun () -> ()) ~acked ~store_out;
-          false
-        with FI.Injected_crash _ -> true
-      in
-      incr crashes;
-      if not crashed then add violations k "durable step never fired (damage arm)";
-      (* The damage happened while power was on; recovery itself runs on
-         healthy hardware. *)
-      FI.disarm plane ~site;
-      FI.disarm plane ~site:FI.site_durable_step;
-      ignore (O1mem.Persistence.crash_and_recover fom);
-      (match !store_out with
-      | None -> add violations k "crash before the store existed (damage arm)"
+  let module S = struct
+    type t = {
+      kernel : Os.Kernel.t;
+      fom : O1mem.Fom.t;
+      plane : FI.t;
+      mutable store : Kv.t option;
+      mutable acked : int;  (** transactions of the burst acknowledged *)
+      mutable hook_ran : bool;
+    }
+
+    let create ~seed =
+      let kernel, fom, plane = O1mem.Chaos.machine ~seed in
+      { kernel; fom; plane; store = None; acked = 0; hook_ran = false }
+
+    let plane m = m.plane
+    let stats m = Os.Kernel.stats m.kernel
+
+    let run m ~mark =
+      let proc = Os.Kernel.create_process m.kernel () in
+      let st = Kv.create m.fom proc ~name:"/kv" () in
+      m.store <- Some st;
+      ignore (Kv.begin_txn st);
+      List.iter (apply_store st) (preload_ops ~keys);
+      Kv.commit st;
+      Kv.checkpoint st;
+      mark ();
+      for c = 1 to txns do
+        ignore (Kv.begin_txn st);
+        List.iter (apply_store st) (ops_of_txn ~keys c);
+        Kv.commit st;
+        m.acked <- c
+      done
+
+    let recover m =
+      let report = O1mem.Persistence.crash_and_recover m.fom in
+      m.hook_ran <- List.mem_assoc "store/kv" report.O1mem.Persistence.hook_records
+
+    (* The recovered state is the committed prefix: mirror [acked], or
+       [acked+1] when the crash fell between the commit record becoming
+       durable and the acknowledgement (redo replays the in-flight
+       transaction). *)
+    let check m ~fail =
+      if not m.hook_ran then fail "recovery never ran the store hook";
+      match m.store with
+      | None -> fail "crash before the store existed (boundary accounting is off)"
       | Some st ->
-        counter := !counter + Kv.recovery_truncations st;
+        let got = state_of st and want = mirrors.(m.acked) in
+        if not (got = want || (m.acked < txns && got = mirrors.(m.acked + 1))) then
+          fail
+            (Printf.sprintf "recovered %s; committed prefix has %s (acked %d)" (describe got)
+               (describe want) m.acked);
+        check_os m.kernel ~fail;
+        probe_usable st ~verify:true ~fail;
+        Kv.detach st
+
+    let damage =
+      [
+        { O1mem.Chaos.label = "torn"; site = FI.site_nvm_torn_line; p = 0.35; salt = 997 };
+        { O1mem.Chaos.label = "flip"; site = FI.site_nvm_bit_flip; p = 0.2; salt = 997 };
+      ]
+
+    let check_damaged m ~fail =
+      match m.store with
+      | None ->
+        fail "crash before the store existed (damage arm)";
+        0
+      | Some st ->
+        let found = ref (Kv.recovery_truncations st) in
         List.iter
           (fun key ->
             match Kv.get st key with
             | None -> ()
             | Some v ->
-              let known = Option.value (Hashtbl.find_opt hist key) ~default:[] in
-              if not (List.exists (String.equal v) known) then
-                add violations k
-                  (Printf.sprintf "key %S recovered with a value that was never written" key)
-            | exception Sim.Errno.Error (Sim.Errno.EIO, _) -> incr counter)
+              (* Every put lands in the mirror of its transaction, so the
+                 mirrors hold every value the workload wrote. *)
+              if not (Array.exists (fun (objs, _) -> List.mem (key, v) objs) mirrors) then
+                fail (Printf.sprintf "key %S recovered with a value that was never written" key)
+            | exception Sim.Errno.Error (Sim.Errno.EIO, _) -> incr found)
           (Kv.keys st);
-        check_os kernel violations k;
-        probe_usable ~verify:false st violations k;
-        Kv.detach st)
-    done
-    in
-    pass ~stride:(max 1 (steps / 4)) ~p ~salt:997;
-    (* Damage can legitimately land only on lines a later flush or the
-       recovery redo pass rewrites; escalate (denser boundaries, hotter
-       injection, new seeds) before concluding the detectors are blind. *)
-    if !counter = 0 then pass ~stride:(max 1 (steps / 8)) ~p:(min 0.9 (3.0 *. p)) ~salt:1009
-  in
-  damage_arm ~site:FI.site_nvm_torn_line ~p:0.35 ~counter:torn_detections;
-  damage_arm ~site:FI.site_nvm_bit_flip ~p:0.2 ~counter:flip_detections;
-  if !torn_detections = 0 then
-    add violations 0 "torn-line arm: no crash produced a detected truncation or EIO";
-  if !flip_detections = 0 then
-    add violations 0 "bit-flip arm: no crash produced a detected truncation or EIO";
-  {
-    steps;
-    fences;
-    crashes = !crashes;
-    torn_detections = !torn_detections;
-    flip_detections = !flip_detections;
-    violations = List.rev !violations;
-  }
+        check_os m.kernel ~fail;
+        probe_usable st ~verify:false ~fail;
+        Kv.detach st;
+        !found
+  end in
+  O1mem.Chaos.explore (module S) ~seed
 
 (* --- the "store" fault plan ----------------------------------------- *)
 
@@ -311,19 +195,15 @@ let explore_store ?(keys = 6) ?(txns = 3) ?(seed = 17) () =
    store intact. Returned as an O1mem.Chaos.plan_outcome so the faults
    CLI prints every plan uniformly. *)
 let run_plan ?(seed = 1) ?(rounds = 12) () =
-  let kernel, fom, plane = store_machine ~seed in
+  O1mem.Chaos.run_guarded ~plan:"store" ~seed ~retried:"store_alloc_retry"
+  @@ fun kernel fom plane guard ->
   FI.arm plane ~site:FI.site_store_alloc (FI.Prob 0.15);
   FI.arm plane ~site:FI.site_store_commit (FI.Prob 0.1);
   FI.arm plane ~site:FI.site_store_apply (FI.Prob 0.15);
   let proc = Os.Kernel.create_process kernel () in
   let st = Kv.create fom proc ~name:"/kv" () in
-  let enomem = ref 0 and enospc = ref 0 in
-  let guard f =
-    try f () with
-    | Sim.Errno.Error (Sim.Errno.ENOMEM, _) -> incr enomem
-    | Sim.Errno.Error (Sim.Errno.ENOSPC, _) -> incr enospc
-    | Sim.Errno.Error (Sim.Errno.EIO, _) -> () (* injected commit abort: txn rolled back *)
-  in
+  (* An injected commit abort is a typed EIO: the transaction rolled back. *)
+  let guard f = guard (fun () -> try f () with Sim.Errno.Error (Sim.Errno.EIO, _) -> ()) in
   for i = 1 to rounds do
     guard (fun () ->
         ignore (Kv.begin_txn st);
@@ -343,39 +223,21 @@ let run_plan ?(seed = 1) ?(rounds = 12) () =
       Kv.commit st);
   (* ENOSPC finale: a transaction that cannot fit the WAL even after the
      checkpoint-and-retry pass must fail typed and leave no trace. *)
-  (try
-     ignore (Kv.begin_txn st);
-     for j = 1 to 24 do
-       Kv.put st (Printf.sprintf "huge%02d" j) (String.make (Sim.Units.kib 8) 'h')
-     done;
-     Kv.commit st
-   with
-  | Sim.Errno.Error (Sim.Errno.ENOSPC, _) -> incr enospc
-  | Sim.Errno.Error ((Sim.Errno.ENOMEM | Sim.Errno.EIO), _) -> ());
+  guard (fun () ->
+      ignore (Kv.begin_txn st);
+      for j = 1 to 24 do
+        Kv.put st (Printf.sprintf "huge%02d" j) (String.make (Sim.Units.kib 8) 'h')
+      done;
+      Kv.commit st);
   if Kv.txn_live st then Kv.abort st;
   let partial = List.filter (fun k -> String.length k >= 4 && String.sub k 0 4 = "huge") (Kv.keys st) in
-  let checks =
-    Os.Check.run kernel @ Kv.verify st
-    @
-    if partial <> [] then
-      [
-        {
-          Os.Check.check = "store_degrade";
-          detail = Printf.sprintf "failed bulk commit left %d partial object(s)" (List.length partial);
-        };
-      ]
-    else []
-  in
-  let stats = Os.Kernel.stats kernel in
-  {
-    O1mem.Chaos.plan = "store";
-    seed;
-    sites = FI.totals plane;
-    injected_total = FI.injected_total plane;
-    enomem = !enomem;
-    enospc = !enospc;
-    retried = Sim.Stats.get stats "store_alloc_retry";
-    reclaimed_frames = Sim.Stats.get stats "alloc_reclaimed_frames";
-    ooms = Sim.Stats.get stats "alloc_oom";
-    checks;
-  }
+  Os.Check.run kernel @ Kv.verify st
+  @
+  if partial <> [] then
+    [
+      {
+        Os.Check.check = "store_degrade";
+        detail = Printf.sprintf "failed bulk commit left %d partial object(s)" (List.length partial);
+      };
+    ]
+  else []

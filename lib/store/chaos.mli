@@ -1,27 +1,20 @@
-(** Crash-at-every-boundary exploration and the "store" fault plan for
-    {!Kv}, in the style of {!O1mem.Chaos}. *)
+(** The persistent store as a subject of {!O1mem.Chaos.explore}, and
+    the "store" fault plan for {!Kv}. *)
 
-type report = {
-  steps : int;  (** durable boundaries the burst crosses (post-preload) *)
-  fences : int;  (** sfence count of the baseline burst *)
-  crashes : int;  (** replays performed: one per boundary + damage arms *)
-  torn_detections : int;
-      (** torn-line arm: WAL/manifest truncations + EIO reads detected *)
-  flip_detections : int;  (** bit-flip arm likewise *)
-  violations : string list;  (** empty = every recovery was consistent *)
-}
-
-val explore_store : ?keys:int -> ?txns:int -> ?seed:int -> unit -> report
+val explore_store : ?keys:int -> ?txns:int -> ?seed:int -> unit -> O1mem.Chaos.report
 (** Preload [keys] (default 6, min 4) objects, checkpoint, then run
     [txns] (default 3) mixed put/delete/grow/root transactions, crashing
-    at every clwb/sfence/WAL boundary of the burst. Invariants per clean
-    crash: the recovered state is exactly the committed prefix (the
-    mirror after [acked] commits, or [acked]+1 when the crash fell
-    between commit-record durability and the acknowledgement), the
-    cross-layer {!Os.Check} passes, and the store still serves fresh
-    writes. Torn-line and bit-flip arms then damage sampled boundaries:
-    losses are permitted but must be {e detected} (truncation or EIO —
-    each arm must detect at least once), and any value the store returns
+    at every clwb/sfence/WAL boundary of the burst and at every durable
+    boundary of the recovery that follows the complete workload.
+    Invariants per clean crash: recovery ran the store hook, the
+    recovered state is exactly the committed prefix (the mirror after
+    [acked] commits, or [acked]+1 when the crash fell between
+    commit-record durability and the acknowledgement), the cross-layer
+    {!Os.Check} passes, and the store still serves fresh writes with a
+    clean {!Kv.verify}. Two damage arms, ["torn"] (torn lines) and
+    ["flip"] (bit flips), then damage sampled boundaries: losses are
+    permitted but must be {e detected} (truncation or EIO — an arm that
+    detects nothing is a violation), and any value the store returns
     must be one the workload actually wrote. *)
 
 val run_plan : ?seed:int -> ?rounds:int -> unit -> O1mem.Chaos.plan_outcome

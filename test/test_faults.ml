@@ -157,6 +157,109 @@ let test_explorers_pinned () =
   pin "wal" (30, 12, 30) (O1mem.Chaos.explore_wal ~records:6 ~seed:7 ());
   pin "fs" (40, 16, 40) (O1mem.Chaos.explore_fs ~files:4 ~seed:11 ())
 
+(* Crash inside recovery: after the complete workload, every boundary
+   recovery crosses is crashed once more, and the second recovery must
+   give the committed prefix, which is then everything. *)
+let test_crash_inside_recovery () =
+  let wal = O1mem.Chaos.explore_wal () and fs = O1mem.Chaos.explore_fs () in
+  check_int "WAL recovery writes nothing" 0 wal.O1mem.Chaos.recovery_steps;
+  check_int "FS recovery boundaries (5 files)" 10 fs.O1mem.Chaos.recovery_steps;
+  Alcotest.(check (list string)) "wal: no violations" [] wal.O1mem.Chaos.violations;
+  Alcotest.(check (list string)) "fs: no violations" [] fs.O1mem.Chaos.violations
+
+(* A toy subject: three records on a bare WAL. [lossy] recovery forgets
+   the newest record it finds; [blind] adds a torn-line arm whose
+   detector never reports a loss. *)
+module Toy_log (Bug : sig
+  val lossy : bool
+  val blind : bool
+end) =
+struct
+  type t = {
+    plane : FI.t;
+    stats : Sim.Stats.t;
+    nvm : Physmem.Nvm.t;
+    base : int;
+    mutable acked : string list;
+    mutable recovered : string list;
+  }
+
+  let capacity = Sim.Units.kib 16
+  let records = [ "one"; "two"; "three" ]
+
+  let create ~seed =
+    let clock = mk_clock () in
+    let stats = Sim.Stats.create () in
+    let trace = Sim.Trace.create ~clock () in
+    let mem =
+      Physmem.Phys_mem.create ~clock ~stats ~trace ~dram_bytes:(Sim.Units.mib 1)
+        ~nvm_bytes:(Sim.Units.mib 1) ()
+    in
+    let plane = FI.create ~seed ~stats () in
+    Sim.Trace.attach_faults trace plane;
+    let base = Physmem.Frame.to_addr (Physmem.Phys_mem.dram_frames mem) in
+    { plane; stats; nvm = Physmem.Nvm.create mem; base; acked = []; recovered = [] }
+
+  let plane m = m.plane
+  let stats m = m.stats
+
+  let run m ~mark:_ =
+    let wal = Fs.Wal.create ~nvm:m.nvm ~base:m.base ~capacity in
+    List.iter
+      (fun r ->
+        Fs.Wal.append_exn wal r;
+        m.acked <- m.acked @ [ r ])
+      records
+
+  let recover m =
+    Physmem.Nvm.crash m.nvm;
+    let all = Fs.Wal.entries (Fs.Wal.recover ~nvm:m.nvm ~base:m.base ~capacity) in
+    m.recovered <-
+      (if Bug.lossy then List.filteri (fun i _ -> i < List.length all - 1) all else all)
+
+  let check m ~fail = if not (is_prefix m.acked m.recovered) then fail "acknowledged record lost"
+
+  let damage =
+    if Bug.blind then
+      [ { O1mem.Chaos.label = "torn"; site = FI.site_nvm_torn_line; p = 0.5; salt = 997 } ]
+    else []
+
+  let check_damaged _ ~fail:_ = 0
+end
+
+let test_explorer_oracle_fires () =
+  let lossy =
+    O1mem.Chaos.explore
+      (module Toy_log (struct
+        let lossy = true
+        let blind = false
+      end))
+      ~seed:1
+  in
+  check_int "steps = 5 per record" 15 lossy.O1mem.Chaos.steps;
+  (* Pass 0 and the first three boundaries of records 2 and 3 each lose
+     an acknowledged record. A crash after the marker's flush does not:
+     that record was durable but not yet acknowledged, so dropping it is
+     legal. *)
+  Alcotest.(check (list string))
+    "every lossy recovery is a violation"
+    (List.map
+       (fun k -> Printf.sprintf "step %d: acknowledged record lost" k)
+       [ 0; 6; 7; 8; 11; 12; 13 ])
+    lossy.O1mem.Chaos.violations;
+  let blind =
+    O1mem.Chaos.explore
+      (module Toy_log (struct
+        let lossy = false
+        let blind = true
+      end))
+      ~seed:1
+  in
+  Alcotest.(check (list string))
+    "a damage arm that detects nothing is a violation"
+    [ "step 0: torn arm: no crash produced a detected loss" ]
+    blind.O1mem.Chaos.violations
+
 (* -------------------------- invariant checker ------------------------ *)
 
 let test_check_clean_after_fork_and_fom () =
@@ -351,4 +454,7 @@ let suite =
     Alcotest.test_case "plane: zero cost when off" `Quick test_injection_zero_cost_when_off;
     Alcotest.test_case "crash: gauges re-baselined" `Quick test_crash_rebaselines_gauges;
     Alcotest.test_case "explorer: bench seeds pinned" `Quick test_explorers_pinned;
+    Alcotest.test_case "explorer: crash inside recovery" `Quick test_crash_inside_recovery;
+    Alcotest.test_case "explorer: oracle fires on a lossy recovery" `Quick
+      test_explorer_oracle_fires;
   ]

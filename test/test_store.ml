@@ -6,6 +6,7 @@ module K = Os.Kernel
 module P = O1mem.Persistence
 module Kv = Store.Kv
 module SC = Store.Chaos
+module C = O1mem.Chaos
 module FI = Sim.Fault_inject
 
 let store_config =
@@ -425,21 +426,28 @@ let prop_torn_wal_byte =
 
 let test_explorer_exhaustive () =
   let r = SC.explore_store ~keys:4 ~txns:2 ~seed:13 () in
-  Alcotest.(check (list string)) "no violations" [] r.SC.violations;
-  check_bool "boundaries found" true (r.SC.steps > 0);
-  check_bool "every boundary crashed (plus damage arms)" true (r.SC.crashes > r.SC.steps);
-  check_bool "torn arm detected damage" true (r.SC.torn_detections >= 1);
-  check_bool "flip arm detected damage" true (r.SC.flip_detections >= 1)
+  Alcotest.(check (list string)) "no violations" [] r.C.violations;
+  check_bool "boundaries found" true (r.C.steps > 0);
+  check_bool "every boundary crashed (plus damage arms)" true (r.C.crashes > r.C.steps);
+  check_bool "torn arm detected damage" true (List.assoc "torn" r.C.detections >= 1);
+  check_bool "flip arm detected damage" true (List.assoc "flip" r.C.detections >= 1)
 
 (* The explorer at the bench seed (bench/exp_store.ml), pinned. *)
 let test_explorer_pinned () =
   let r = SC.explore_store ~keys:6 ~txns:3 ~seed:17 () in
-  check_int "steps" 92 r.SC.steps;
-  check_int "fences" 38 r.SC.fences;
-  check_int "crashes" 100 r.SC.crashes;
-  check_int "torn detections" 7 r.SC.torn_detections;
-  check_int "flip detections" 9 r.SC.flip_detections;
-  Alcotest.(check (list string)) "no violations" [] r.SC.violations
+  check_int "steps" 92 r.C.steps;
+  check_int "fences" 38 r.C.fences;
+  check_int "crashes" 100 r.C.crashes;
+  Alcotest.(check (list (pair string int))) "detections" [ ("torn", 7); ("flip", 9) ] r.C.detections;
+  Alcotest.(check (list string)) "no violations" [] r.C.violations
+
+(* Store recovery crosses durable boundaries of its own: the store hook
+   replays the burst's 16 WAL records in place. A crash at each must
+   still recover the final state. *)
+let test_crash_inside_recovery () =
+  let r = SC.explore_store () in
+  check_int "recovery boundaries" 12 r.C.recovery_steps;
+  Alcotest.(check (list string)) "no violations" [] r.C.violations
 
 let test_store_plan () =
   let o = SC.run_plan ~seed:3 ~rounds:10 () in
@@ -478,4 +486,5 @@ let suite =
     Alcotest.test_case "explorer: crash at every boundary" `Slow test_explorer_exhaustive;
     Alcotest.test_case "store fault plan" `Quick test_store_plan;
     Alcotest.test_case "explorer: bench seed pinned" `Quick test_explorer_pinned;
+    Alcotest.test_case "explorer: crash inside recovery" `Quick test_crash_inside_recovery;
   ]
