@@ -146,13 +146,14 @@ let flush_tlbs t =
   (match t.range_table with Some _ -> Range_tlb.flush c.Smp.range_tlb | None -> ());
   t.cpumask <- t.cpumask land lnot (1 lsl t.core)
 
+(* Does any *other* core have this address space cached? *)
+let remote_cached t = t.cpumask land lnot (1 lsl t.core) <> 0
+
 (* One shootdown IPI round-trip: interrupt every *other* core in the
    cpumask, run [f] as its invalidation handler, collect the ack. A fired
    [tlb_ack_lost] fault drops the handler and the ack — the victim core
    keeps its stale entries, which only [Os.Check] can catch. The send is
    charged whether or not the ack comes back. *)
-let remote_cached t = t.cpumask land lnot (1 lsl t.core) <> 0
-
 let ipi_round t f =
   (* Skip (and don't open a span) when no *other* core has this address
      space cached: the loop below would do nothing. *)
