@@ -25,12 +25,12 @@ type report = {
   violations : string list;  (** empty = every recovery was consistent *)
 }
 
-type damage = { label : string; site : string; p : float; salt : int }
+type damage = { label : string; site : string; p : float }
 (** A damage arm: [site] fires with probability [p] while the workload
     runs, and power fails at every [steps/4]-th window boundary [k],
-    replayed with seed [seed + salt * k]. An arm that detects nothing
-    retries once at every [steps/8]-th boundary with [min 0.9 (3p)] and
-    salt 1009; still nothing is a violation (["<label> arm: ..."]). *)
+    replayed with seed [seed + 997 * k]. An arm that detects nothing
+    retries at every [steps/8]-th boundary with [min 0.9 (3p)] and seed
+    [seed + 1009 * k]; still nothing is a violation (["<label> arm: ..."]). *)
 
 (** A persistent component under test. The explorer owns the passes,
     arming [On_nth], catching {!Sim.Fault_inject.Injected_crash} and

@@ -5,7 +5,8 @@ val explore_store : ?keys:int -> ?txns:int -> ?seed:int -> unit -> O1mem.Chaos.r
 (** Preload [keys] (default 6, min 4) objects, checkpoint, then run
     [txns] (default 3) mixed put/delete/grow/root transactions, crashing
     at every clwb/sfence/WAL boundary of the burst and at every durable
-    boundary of the recovery that follows the complete workload.
+    boundary of the recovery that follows the complete workload. The
+    completed burst, before any crash, must be the final mirror.
     Invariants per clean crash: recovery ran the store hook, the
     recovered state is exactly the committed prefix (the mirror after
     [acked] commits, or [acked]+1 when the crash fell between

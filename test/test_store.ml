@@ -432,21 +432,17 @@ let test_explorer_exhaustive () =
   check_bool "torn arm detected damage" true (List.assoc "torn" r.C.detections >= 1);
   check_bool "flip arm detected damage" true (List.assoc "flip" r.C.detections >= 1)
 
-(* The explorer at the bench seed (bench/exp_store.ml), pinned. *)
+(* The explorer at the bench seed (bench/exp_store.ml), pinned. Store
+   recovery crosses durable boundaries of its own (the store hook redoes
+   the burst's 16 WAL records in place); a crash at each must still
+   recover the final state. *)
 let test_explorer_pinned () =
   let r = SC.explore_store ~keys:6 ~txns:3 ~seed:17 () in
   check_int "steps" 92 r.C.steps;
   check_int "fences" 38 r.C.fences;
   check_int "crashes" 100 r.C.crashes;
-  Alcotest.(check (list (pair string int))) "detections" [ ("torn", 7); ("flip", 9) ] r.C.detections;
-  Alcotest.(check (list string)) "no violations" [] r.C.violations
-
-(* Store recovery crosses durable boundaries of its own: the store hook
-   replays the burst's 16 WAL records in place. A crash at each must
-   still recover the final state. *)
-let test_crash_inside_recovery () =
-  let r = SC.explore_store () in
   check_int "recovery boundaries" 12 r.C.recovery_steps;
+  Alcotest.(check (list (pair string int))) "detections" [ ("torn", 7); ("flip", 9) ] r.C.detections;
   Alcotest.(check (list string)) "no violations" [] r.C.violations
 
 let test_store_plan () =
@@ -486,5 +482,4 @@ let suite =
     Alcotest.test_case "explorer: crash at every boundary" `Slow test_explorer_exhaustive;
     Alcotest.test_case "store fault plan" `Quick test_store_plan;
     Alcotest.test_case "explorer: bench seed pinned" `Quick test_explorer_pinned;
-    Alcotest.test_case "explorer: crash inside recovery" `Quick test_crash_inside_recovery;
   ]
